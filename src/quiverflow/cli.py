@@ -46,7 +46,7 @@ from .repspace import (
     grad_norm,
 )
 from .series import poincare_semistable
-from .strata import ClassificationError, RankAmbiguityError, flow_to_critical
+from .strata import ClassificationError, RankAmbiguityError, critical_of_flow
 
 
 class InputError(ValueError):
@@ -162,7 +162,7 @@ def _traj_csv(samples, columns) -> str:
 
 
 def _flow_config(args) -> FlowConfig:
-    return FlowConfig(grad_tol=args.tol, max_time=args.max_t, seed=args.seed)
+    return FlowConfig(grad_tol=args.tol, max_time=args.max_t)
 
 
 def cmd_flow(args) -> int:
@@ -174,12 +174,12 @@ def cmd_flow(args) -> int:
     cfg = _flow_config(args)
     hn_type = None
     note = None
+    res = integrate_flow(q, A0, a, cfg)
     try:
-        A_inf, crit, res = flow_to_critical(q, A0, a, cfg)
+        A_inf, crit = critical_of_flow(q, res, a, cfg)
         hn_type = [list(p) for p in crit.hn_type]
     except (FlowError, ClassificationError) as e:
         note = str(e)
-        res = integrate_flow(q, A0, a, cfg)
         A_inf = res.final
     if args.out_traj:
         _emit(args.out_traj, _traj_csv(res.trajectory, ["t", "f", "grad_norm"]))

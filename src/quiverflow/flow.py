@@ -2,46 +2,52 @@
 the paired group flow on the complexified gauge group, and the sigma
 monotonicity monitor.
 
-The integrator is an explicit embedded Dormand-Prince 5(4) pair with an extra
-acceptance gate enforcing monotone decrease of f, which guarantees the
-Lyapunov property the convergence theory relies on. The group flow is
-co-integrated with the same pair and the same factor-2 time scale as the
-gradient flow, so that g(t) . A(0) tracks the flow trajectory.
+All three flows run on one explicit embedded Dormand-Prince 5(4) driver with
+an extra acceptance gate enforcing monotone decrease of f, which guarantees
+the Lyapunov property the convergence theory relies on. Each flow is a
+"system": a function of one flat state vector returning its time derivative,
+f and ||grad f||. The representation part of the state is the block
+embedding of repspace.BlockEmbedding, so one call of repspace.moment_kernel
+(three matrix products, no loop over edges) evaluates H, the gradient and f.
+The pair is first-same-as-last (FSAL): its last stage is evaluated at the
+new point, so that stage is the next step's first stage and also yields f
+and ||grad f|| there. A step, accepted or rejected, costs six system calls,
+which is six kernel calls (twelve for the paired flow, whose system is two
+group-flow systems).
+The group flow is co-integrated with the same pair and the same factor-2
+time scale as the gradient flow, so that g(t) . A(0) tracks the flow
+trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .quiver import Quiver, StabilityParam, rank
-from .repspace import (
-    GaugeElement,
-    Representation,
-    act,
-    f_value,
-    grad_norm,
-    neg_gradient,
-    shifted_moment,
-)
+from .repspace import BlockEmbedding, GaugeElement, Representation, act, moment_kernel
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau. Row 6 of _A equals the 5th-order weights, so
+# the last stage is evaluated at the new point (FSAL).
+_A = np.array(
+    [
+        [0.0] * 6,
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# weights of the error estimate y5 - y4
+_E = np.append(_A[6], 0.0) - _B4
 
 
 class FlowError(RuntimeError):
@@ -73,7 +79,6 @@ class FlowConfig:
     # a non-minimal critical point; finite precision cannot track the
     # measure-zero stratum all the way down to grad_tol
     saddle_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.min_step <= self.initial_step <= self.max_step):
@@ -92,6 +97,27 @@ class FlowSample:
 
 
 @dataclass
+class FlowStats:
+    """Work counters of one integration. Every trial step costs six system
+    calls after the first (FSAL), so
+
+        n_rhs == 1 + 6 * (n_accepted + n_rejected_err
+                          + n_rejected_monotone + n_nonfinite).
+
+    Rejections are split by reason: error estimate above tolerance, f rising
+    past the monotone gate, or a non-finite trial. h_min and h_max range over
+    accepted steps (inf and 0 when there are none)."""
+
+    n_rhs: int = 0
+    n_accepted: int = 0
+    n_rejected_err: int = 0
+    n_rejected_monotone: int = 0
+    n_nonfinite: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+
+@dataclass
 class FlowResult:
     final: Representation
     final_f: float
@@ -106,47 +132,48 @@ class FlowResult:
     dip_t: float | None = None
     dip_grad_norm: float | None = None
     dip_f: float | None = None
+    stats: FlowStats = field(default_factory=FlowStats)
+    # why strata.critical_of_flow set the dip state aside for the endpoint,
+    # "ExceptionClass: message" when classifying or refining it raised
+    fallback_reason: str | None = None
 
 
 _F_MONOTONE_TOL = 1e-10
 
 
-def _dp_step(rhs, y, h):
-    k = [rhs(y)]
-    for i in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-        k.append(rhs(yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
-    err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(_B5, _B4, k))
-    return y5, float(np.linalg.norm(err))
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm costs twice as much on these short vectors
+    return math.sqrt(np.vdot(x, x).real)
 
 
 @dataclass
-class _LoopOut:
+class _DriverOut:
     y: np.ndarray
     t: float
+    f: float
+    g: float
     converged: bool
-    n_steps: int
-    dip_y: np.ndarray | None = None
-    dip_t: float | None = None
-    dip_g: float | None = None
-    dip_f: float | None = None
+    stats: FlowStats
+    # (grad norm, state, t, f) at the locked dip, if any
+    dip: tuple | None
 
 
-def _adaptive_loop(rhs, y0, cfg: FlowConfig, f_of, gnorm_of, on_sample) -> _LoopOut:
-    """Shared adaptive stepping loop.
+def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
+    """The adaptive DP5(4) driver shared by every flow.
 
+    system(y) returns (dy/dt, f, ||grad f||) at the flat state y.
     on_sample(t, y, f, gnorm) is called on the initial state, every
     sample_stride-th accepted step, and the final state. The first state
     whose running-minimum gradient norm drops below saddle_tol and is later
     exceeded tenfold gets locked as the dip record (saddle flyby)."""
+    stats = FlowStats(n_rhs=1)
     t = 0.0
     y = y0.astype(complex)
+    y_norm = _norm(y)
     h = cfg.initial_step
-    fs = f_of(y)
-    g = gnorm_of(y)
+    K = np.empty((7, y.size), dtype=complex)
+    K[0], fs, g = system(y)
     on_sample(t, y, fs, g)
-    n_accepted = 0
     run_min = (g, y, t, fs)
     dip = None
     while True:
@@ -160,29 +187,41 @@ def _adaptive_loop(rhs, y0, cfg: FlowConfig, f_of, gnorm_of, on_sample) -> _Loop
         # overflow in a rejected trial step is harmless: a non-finite error
         # estimate fails the acceptance test below and the step is halved
         with np.errstate(over="ignore", invalid="ignore"):
-            y_new, err = _dp_step(rhs, y, h)
-            scale = cfg.atol + cfg.rtol * max(np.linalg.norm(y), np.linalg.norm(y_new))
-            f_new = f_of(y_new)
-        if not np.isfinite(err) or not np.isfinite(f_new):
-            err = np.inf
+            for i in range(1, 7):
+                y_new = y + h * (_A[i, :i] @ K[:i])
+                K[i], f_new, g_new = system(y_new)
+            err = h * _norm(_E @ K)
+            y_new_norm = _norm(y_new)
+        stats.n_rhs += 6
+        scale = cfg.atol + cfg.rtol * max(y_norm, y_new_norm)
+        finite = math.isfinite(err) and math.isfinite(f_new)
+        if not finite:
+            err = math.inf
         if err <= scale and f_new <= fs + _F_MONOTONE_TOL * (1.0 + fs):
             t += h
-            y = y_new
-            fs = f_new
-            g = gnorm_of(y)
-            n_accepted += 1
+            y, y_norm, fs, g = y_new, y_new_norm, f_new, g_new
+            K[0] = K[6]
+            stats.n_accepted += 1
+            stats.h_min = min(stats.h_min, h)
+            stats.h_max = max(stats.h_max, h)
             if g < run_min[0]:
                 run_min = (g, y, t, fs)
             elif dip is None and run_min[0] < cfg.saddle_tol and g > 10 * run_min[0]:
                 dip = run_min
-            if n_accepted % cfg.sample_stride == 0:
+            if stats.n_accepted % cfg.sample_stride == 0:
                 on_sample(t, y, fs, g)
             if err > 0:
                 h *= min(5.0, max(0.2, cfg.safety * (scale / err) ** 0.2))
             else:
                 h *= 5.0
         else:
-            if err <= scale or not np.isfinite(err):
+            if not finite:
+                stats.n_nonfinite += 1
+            elif err > scale:
+                stats.n_rejected_err += 1
+            else:
+                stats.n_rejected_monotone += 1
+            if err <= scale or not finite:
                 h *= 0.5
             else:
                 h *= max(0.1, min(0.5, cfg.safety * (scale / err) ** 0.2))
@@ -191,52 +230,56 @@ def _adaptive_loop(rhs, y0, cfg: FlowConfig, f_of, gnorm_of, on_sample) -> _Loop
                     f"step size underflow at t={t:.6g} (f={fs:.6g})", t, y
                 )
     on_sample(t, y, fs, g)
-    out = _LoopOut(y=y, t=t, converged=converged, n_steps=n_accepted)
-    if dip is not None:
-        out.dip_g, out.dip_y, out.dip_t, out.dip_f = dip
-    return out
+    return _DriverOut(y=y, t=t, f=fs, g=g, converged=converged, stats=stats, dip=dip)
 
 
-def _shapes(q: Quiver, dims) -> list[tuple[int, int]]:
-    return [(dims[in_i], dims[out_i]) for out_i, in_i in q.edge_indices()]
+def _gradient_system(emb: BlockEmbedding, a: StabilityParam):
+    """dA/dt = -grad f on the embedded edges."""
+    shift = emb.shift(a)
+
+    def system(y):
+        _, K, f = moment_kernel(y.reshape(emb.shape), shift)
+        k = K.ravel()
+        return k, f, _norm(k)
+
+    return system
 
 
-# raw-matrix kernels used inside the integrator loops; they bypass the
-# validating Representation constructor, which is far too slow to run seven
-# times per step
-def _fast_H(edges, dims, a_f, mats):
-    H = [-a * np.eye(d, dtype=complex) for a, d in zip(a_f, dims)]
-    for (out_i, in_i), m in zip(edges, mats):
-        H[in_i] -= 0.5 * (m @ m.conj().T)
-        H[out_i] += 0.5 * (m.conj().T @ m)
-    return H
+def _group_system(emb: BlockEmbedding, a: StabilityParam):
+    """The gradient flow with the block-diagonal gauge element g appended to
+    the state, dg/dt = 2 H g."""
+    shift = emb.shift(a)
+    n_rep = math.prod(emb.shape)
+    n = emb.shape[0]
+
+    def system(y):
+        H, K, f = moment_kernel(y[:n_rep].reshape(emb.shape), shift)
+        k = K.ravel()
+        dg = 2.0 * (H @ y[n_rep:].reshape(n, n))
+        return np.concatenate([k, dg.ravel()]), f, _norm(k)
+
+    return system
 
 
-def _fast_neg_grad(edges, H, mats):
-    return [2.0 * (H[in_i] @ m - m @ H[out_i]) for (out_i, in_i), m in zip(edges, mats)]
+def _group_state(emb: BlockEmbedding, A0: Representation) -> np.ndarray:
+    return np.concatenate([emb.embed(A0.mats).ravel(), np.eye(emb.shape[0]).ravel()])
 
 
-def _fast_f(H) -> float:
-    return float(sum(np.sum(np.abs(b) ** 2) for b in H))
-
-
-def _fast_norm(mats) -> float:
-    return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in mats)))
-
-
-def _pack(mats: Sequence[np.ndarray]) -> np.ndarray:
-    if not mats:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate([m.ravel() for m in mats])
-
-
-def _unpack(y: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for r, c in shapes:
-        out.append(y[pos : pos + r * c].reshape(r, c))
-        pos += r * c
-    return out
+def _result(lo: _DriverOut, to_rep, samples: list[FlowSample]) -> FlowResult:
+    res = FlowResult(
+        final=to_rep(lo.y),
+        final_f=lo.f,
+        final_grad_norm=lo.g,
+        elapsed=lo.t,
+        trajectory=samples,
+        converged=lo.converged,
+        n_steps=lo.stats.n_accepted,
+        stats=lo.stats,
+    )
+    if lo.dip is not None:
+        res.dip_grad_norm, dip_y, res.dip_t, res.dip_f = lo.dip
+        res.dip_state = to_rep(dip_y)
+    return res
 
 
 def integrate_flow(
@@ -249,24 +292,10 @@ def integrate_flow(
     """Integrate dA/dt = -grad f from A0 until ||grad f|| < grad_tol or
     max_time. `extra`, if given, is evaluated on each sample and recorded in
     the phi_c_norm field of the trajectory."""
-    shapes = _shapes(q, A0.dims)
-    edges = q.edge_indices()
-    dims = A0.dims
-    a_f = [float(x) for x in a]
+    emb = BlockEmbedding(q, A0.dims)
 
     def to_rep(y):
-        return A0.with_mats(_unpack(y, shapes))
-
-    def rhs(y):
-        mats = _unpack(y, shapes)
-        return _pack(_fast_neg_grad(edges, _fast_H(edges, dims, a_f, mats), mats))
-
-    def f_of(y):
-        return _fast_f(_fast_H(edges, dims, a_f, _unpack(y, shapes)))
-
-    def gnorm_of(y):
-        mats = _unpack(y, shapes)
-        return _fast_norm(_fast_neg_grad(edges, _fast_H(edges, dims, a_f, mats), mats))
+        return A0.with_mats(emb.edge_blocks(y))
 
     samples: list[FlowSample] = []
 
@@ -276,23 +305,8 @@ def integrate_flow(
             s.phi_c_norm = extra(to_rep(y))
         samples.append(s)
 
-    lo = _adaptive_loop(
-        rhs, _pack(A0.mats), cfg, f_of=f_of, gnorm_of=gnorm_of, on_sample=on_sample
-    )
-    final = to_rep(lo.y)
-    return FlowResult(
-        final=final,
-        final_f=f_value(q, final, a),
-        final_grad_norm=grad_norm(q, final, a),
-        elapsed=lo.t,
-        trajectory=samples,
-        converged=lo.converged,
-        n_steps=lo.n_steps,
-        dip_state=to_rep(lo.dip_y) if lo.dip_y is not None else None,
-        dip_t=lo.dip_t,
-        dip_grad_norm=lo.dip_g,
-        dip_f=lo.dip_f,
-    )
+    lo = _integrate(_gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample)
+    return _result(lo, to_rep, samples)
 
 
 def integrate_group_flow(
@@ -307,62 +321,36 @@ def integrate_group_flow(
     Returns the flow result, the final gauge element, and the sampled gauge
     curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
     exceeds drift_tol at any sample."""
-    shapes = _shapes(q, A0.dims)
-    gshapes = [(d, d) for d in A0.dims]
-    n_rep = sum(r * c for r, c in shapes)
-    edges = q.edge_indices()
-    dims = A0.dims
-    a_f = [float(x) for x in a]
+    emb = BlockEmbedding(q, A0.dims)
+    n_rep = math.prod(emb.shape)
+    n = emb.shape[0]
 
-    def split(y):
-        A = A0.with_mats(_unpack(y[:n_rep], shapes))
-        g = _unpack(y[n_rep:], gshapes)
-        return A, g
+    def to_rep(y):
+        return A0.with_mats(emb.edge_blocks(y[:n_rep]))
 
-    def rhs(y):
-        mats = _unpack(y[:n_rep], shapes)
-        g = _unpack(y[n_rep:], gshapes)
-        H = _fast_H(edges, dims, a_f, mats)
-        dA = _fast_neg_grad(edges, H, mats)
-        dg = [2.0 * Hl @ gl for Hl, gl in zip(H, g)]
-        return np.concatenate([_pack(dA), _pack(dg)])
+    def gauge_blocks(y):
+        return emb.vertex_blocks(y[n_rep:].reshape(n, n))
 
     samples: list[FlowSample] = []
     gauge_curve: list[tuple[float, list[np.ndarray]]] = []
-    max_drift = [0.0]
+    max_drift = 0.0
 
     def on_sample(t, y, fs, g):
-        A, gb = split(y)
+        nonlocal max_drift
+        A, gb = to_rep(y), gauge_blocks(y)
         drift = float(
             np.sqrt(sum(np.sum(np.abs(m1 - m2) ** 2) for m1, m2 in
                         zip(act(GaugeElement(gb), A0).mats, A.mats)))
         )
-        max_drift[0] = max(max_drift[0], drift)
+        max_drift = max(max_drift, drift)
         samples.append(FlowSample(t=t, f=fs, grad_norm=g))
-        gauge_curve.append((t, [b.copy() for b in gb]))
+        gauge_curve.append((t, gb))
 
-    def f_of(y):
-        return _fast_f(_fast_H(edges, dims, a_f, _unpack(y[:n_rep], shapes)))
-
-    def gnorm_of(y):
-        mats = _unpack(y[:n_rep], shapes)
-        return _fast_norm(_fast_neg_grad(edges, _fast_H(edges, dims, a_f, mats), mats))
-
-    y0 = np.concatenate([_pack(A0.mats), _pack([np.eye(d, dtype=complex) for d in A0.dims])])
-    lo = _adaptive_loop(rhs, y0, cfg, f_of=f_of, gnorm_of=gnorm_of, on_sample=on_sample)
-    A_final, g_final = split(lo.y)
-    result = FlowResult(
-        final=A_final,
-        final_f=f_value(q, A_final, a),
-        final_grad_norm=grad_norm(q, A_final, a),
-        elapsed=lo.t,
-        trajectory=samples,
-        converged=lo.converged,
-        n_steps=lo.n_steps,
-    )
-    if max_drift[0] > cfg.drift_tol:
-        result.warnings.append(f"gauge drift {max_drift[0]:.3g} exceeds drift_tol")
-    return result, GaugeElement(g_final), gauge_curve
+    lo = _integrate(_group_system(emb, a), _group_state(emb, A0), cfg, on_sample)
+    result = _result(lo, to_rep, samples)
+    if max_drift > cfg.drift_tol:
+        result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
+    return result, GaugeElement(gauge_blocks(lo.y)), gauge_curve
 
 
 def sigma(h_blocks: Sequence[np.ndarray], total_rank: int) -> float:
@@ -413,66 +401,35 @@ def paired_flow_sigma(
     gbar(t) = g2(t) g0 g1(t)^{-1}, and sample sigma(h(t)) with
     h = gbar^{-1}(gbar*)^{-1}. The two flows share time steps, so the samples
     are exactly aligned."""
-    B0 = act(g0, A0)
-    shapes = _shapes(q, A0.dims)
-    gshapes = [(d, d) for d in A0.dims]
-    n_rep = sum(r * c for r, c in shapes)
-    n_g = sum(d * d for d in A0.dims)
+    emb = BlockEmbedding(q, A0.dims)
+    n_rep = math.prod(emb.shape)
+    n = emb.shape[0]
+    half = n_rep + n * n
+    group = _group_system(emb, a)
     total = rank(A0.dims)
 
-    edges = q.edge_indices()
-    dims = A0.dims
-    a_f = [float(x) for x in a]
-
-    def split(y):
-        A1 = _unpack(y[:n_rep], shapes)
-        g1 = _unpack(y[n_rep : n_rep + n_g], gshapes)
-        A2 = _unpack(y[n_rep + n_g : 2 * n_rep + n_g], shapes)
-        g2 = _unpack(y[2 * n_rep + n_g :], gshapes)
-        return A1, g1, A2, g2
-
-    def rhs(y):
-        A1, g1, A2, g2 = split(y)
-        H1 = _fast_H(edges, dims, a_f, A1)
-        H2 = _fast_H(edges, dims, a_f, A2)
-        return np.concatenate(
-            [
-                _pack(_fast_neg_grad(edges, H1, A1)),
-                _pack([2.0 * Hl @ gl for Hl, gl in zip(H1, g1)]),
-                _pack(_fast_neg_grad(edges, H2, A2)),
-                _pack([2.0 * Hl @ gl for Hl, gl in zip(H2, g2)]),
-            ]
-        )
+    def system(y):
+        k1, f1, g1 = group(y[:half])
+        k2, f2, g2 = group(y[half:])
+        return np.concatenate([k1, k2]), f1 + f2, max(g1, g2)
 
     samples: list[tuple[float, float]] = []
     g1_curve: list[tuple[float, list[np.ndarray]]] = []
     g2_curve: list[tuple[float, list[np.ndarray]]] = []
 
     def on_sample(t, y, fs, g):
-        A1, g1, A2, g2 = split(y)
+        g1 = emb.vertex_blocks(y[n_rep:half].reshape(n, n))
+        g2 = emb.vertex_blocks(y[half + n_rep :].reshape(n, n))
         gbar = [
             b2 @ b0 @ np.linalg.solve(b1, np.eye(b1.shape[0], dtype=complex))
             for b2, b0, b1 in zip(g2, g0.blocks, g1)
         ]
         samples.append((t, sigma_from_gauge(gbar, total)))
-        g1_curve.append((t, [b.copy() for b in g1]))
-        g2_curve.append((t, [b.copy() for b in g2]))
+        g1_curve.append((t, g1))
+        g2_curve.append((t, g2))
 
-    ident = _pack([np.eye(d, dtype=complex) for d in A0.dims])
-    y0 = np.concatenate([_pack(A0.mats), ident, _pack(B0.mats), ident])
-
-    def f_of(y):
-        A1, _, A2, _ = split(y)
-        return _fast_f(_fast_H(edges, dims, a_f, A1)) + _fast_f(_fast_H(edges, dims, a_f, A2))
-
-    def gnorm_of(y):
-        A1, _, A2, _ = split(y)
-        g1 = _fast_norm(_fast_neg_grad(edges, _fast_H(edges, dims, a_f, A1), A1))
-        g2 = _fast_norm(_fast_neg_grad(edges, _fast_H(edges, dims, a_f, A2), A2))
-        return max(g1, g2)
-
-    lo = _adaptive_loop(rhs, y0, cfg, f_of, gnorm_of, on_sample)
-    converged = lo.converged
+    y0 = np.concatenate([_group_state(emb, A0), _group_state(emb, act(g0, A0))])
+    lo = _integrate(system, y0, cfg, on_sample)
     increase = 0.0
     for (_, s1), (_, s2) in zip(samples, samples[1:]):
         increase = max(increase, s2 - s1)
@@ -481,5 +438,5 @@ def paired_flow_sigma(
         g1_curve=g1_curve,
         g2_curve=g2_curve,
         max_forward_increase=increase,
-        converged=converged,
+        converged=lo.converged,
     )

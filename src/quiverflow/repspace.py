@@ -138,30 +138,91 @@ class ShiftedMoment:
         return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
 
+class BlockEmbedding:
+    """Block layout of a representation space inside N x N matrices,
+    N = sum(dims).
+
+    Vertex l owns rows and columns offsets[l]:offsets[l+1], and the matrix of
+    an edge s -> t sits at block (t, s), so every matrix built from edge
+    matrices by products and sums is block-structured and the moment blocks
+    sit on the diagonal. The E embedded edge matrices X_e are stored together
+    as one array T of shape (N, E, N), T[:, e, :] = X_e. Both the column
+    stack V = [X_1 ... X_E] and a row stack W of all edge rows are then
+    reshapes of T that need no copy."""
+
+    def __init__(self, q: Quiver, dims: Sequence[int]):
+        offsets = np.concatenate([[0], np.cumsum(dims, dtype=int)])
+        self.dims = tuple(dims)
+        self.vertex_slices = [slice(int(lo), int(hi)) for lo, hi in zip(offsets, offsets[1:])]
+        self.edge_slices = [
+            (self.vertex_slices[in_i], self.vertex_slices[out_i])
+            for out_i, in_i in q.edge_indices()
+        ]
+        n = int(offsets[-1])
+        self.shape = (n, len(self.edge_slices), n)
+
+    def embed(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        T = np.zeros(self.shape, dtype=complex)
+        for e, ((rows, cols), m) in enumerate(zip(self.edge_slices, mats)):
+            T[rows, e, cols] = m
+        return T
+
+    def edge_blocks(self, T: np.ndarray) -> list[np.ndarray]:
+        """Per-edge matrices of an embedded array, given in any shape that
+        reshapes to (N, E, N)."""
+        T = np.reshape(T, self.shape)
+        return [T[rows, e, cols].copy() for e, (rows, cols) in enumerate(self.edge_slices)]
+
+    def vertex_blocks(self, M: np.ndarray) -> list[np.ndarray]:
+        """Diagonal blocks of an N x N matrix, one per vertex."""
+        return [M[s, s].copy() for s in self.vertex_slices]
+
+    def shift(self, a: StabilityParam) -> np.ndarray:
+        """diag(a_l id_{v_l}) as an N x N matrix."""
+        return np.diag(np.repeat([float(x) for x in a], self.dims))
+
+
+def moment_kernel(T: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray, float]:
+    """H, -grad f and f for the embedded edges T (see BlockEmbedding).
+
+        H = (W* W - V V*) / 2 - shift,  -grad f = 2 (H X - X H),  f = ||H||^2.
+
+    Off-block entries of X and H are products of exact zeros, so they stay
+    exactly zero: H is block-diagonal with the H_l on its diagonal, and
+    -grad f carries the per-edge gradient at each edge's block. Returns H
+    (N x N), -grad f in the shape of T, and f."""
+    n, e, _ = T.shape
+    V = T.reshape(n, e * n)
+    W = T.reshape(n * e, n)
+    H = 0.5 * (W.conj().T @ W - V @ V.conj().T) - shift
+    K = 2.0 * (H @ V - (W @ H).reshape(n, e * n))
+    return H, K.reshape(T.shape), float(np.vdot(H, H).real)
+
+
+def _evaluate(q: Quiver, A: Representation, shift_by: StabilityParam | None):
+    emb = BlockEmbedding(q, A.dims)
+    shift = 0.0 if shift_by is None else emb.shift(shift_by)
+    return emb, moment_kernel(emb.embed(A.mats), shift)
+
+
 def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
     """Per-vertex skew-Hermitian moment map blocks
 
         Phi_l = (i/2) ( sum_{in(a)=l} A_a A_a* - sum_{out(a)=l} A_a* A_a ).
     """
-    blocks = [np.zeros((d, d), dtype=complex) for d in A.dims]
-    for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-        blocks[in_i] += 0.5j * (m @ m.conj().T)
-        blocks[out_i] -= 0.5j * (m.conj().T @ m)
-    return tuple(blocks)
+    emb, (H, _, _) = _evaluate(q, A, None)
+    return tuple(-1j * b for b in emb.vertex_blocks(H))
 
 
 def shifted_moment(q: Quiver, A: Representation, a: StabilityParam) -> ShiftedMoment:
     """H_l = i*Phi_l(A) - a_l*id (Hermitian)."""
-    phi = moment(q, A)
-    blocks = []
-    for l, p in enumerate(phi):
-        blocks.append(1j * p - float(a[l]) * np.eye(A.dims[l]))
-    return ShiftedMoment(tuple(blocks))
+    emb, (H, _, _) = _evaluate(q, A, a)
+    return ShiftedMoment(tuple(emb.vertex_blocks(H)))
 
 
 def f_value(q: Quiver, A: Representation, a: StabilityParam) -> float:
     """f(A) = sum_l ||H_l||_F^2; zero exactly on the shifted level set."""
-    return shifted_moment(q, A, a).norm_sq()
+    return _evaluate(q, A, a)[1][2]
 
 
 def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.ndarray]:
@@ -170,16 +231,12 @@ def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.nda
         (-grad f)_a = 2 (H_{in(a)} A_a - A_a H_{out(a)}),
 
     which vanishes exactly at critical points."""
-    H = shifted_moment(q, A, a).blocks
-    out = []
-    for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-        out.append(2.0 * (H[in_i] @ m - m @ H[out_i]))
-    return out
+    emb, (_, K, _) = _evaluate(q, A, a)
+    return emb.edge_blocks(K)
 
 
 def grad_norm(q: Quiver, A: Representation, a: StabilityParam) -> float:
-    g = neg_gradient(q, A, a)
-    return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in g)))
+    return float(np.linalg.norm(_evaluate(q, A, a)[1][1]))
 
 
 def act(g: GaugeElement, A: Representation) -> Representation:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, integrate_flow
+from .flow import FlowConfig, FlowError, FlowResult, integrate_flow
 from .quiver import (
     HNType,
     Quiver,
@@ -225,13 +225,43 @@ def refine_critical(
     return Representation(q, A.dims, out_mats)
 
 
+def critical_of_flow(
+    q: Quiver,
+    res: FlowResult,
+    a: StabilityParam,
+    cfg: FlowConfig = FlowConfig(),
+    cluster_tol: float = 1e-4,
+) -> tuple[Representation, CriticalType]:
+    """The critical point a finished flow identifies (see flow_to_critical).
+
+    When the dip state is set aside for the endpoint, the reason is recorded
+    in res.fallback_reason."""
+    if res.dip_state is not None:
+        try:
+            crit = classify_critical(
+                q, res.dip_state, a, cluster_tol, grad_tol=cfg.saddle_tol
+            )
+            A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
+            crit2 = classify_critical(q, A_ref, a, cluster_tol, cfg.grad_tol)
+            if crit2.hn_type == crit.hn_type:
+                return A_ref, crit2
+            res.fallback_reason = (
+                f"refined type {crit2.hn_type} differs from dip type {crit.hn_type}"
+            )
+        except (ClassificationError, FlowError, QuiverError) as e:
+            res.fallback_reason = f"{type(e).__name__}: {e}"
+    if not res.converged:
+        raise FlowError(f"flow did not converge within max_time={cfg.max_time}")
+    return res.final, classify_critical(q, res.final, a, cluster_tol, cfg.grad_tol)
+
+
 def flow_to_critical(
     q: Quiver,
     A0: Representation,
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
     cluster_tol: float = 1e-4,
-) -> tuple[Representation, CriticalType, "FlowResult"]:
+) -> tuple[Representation, CriticalType, FlowResult]:
     """Flow to the first critical point the trajectory identifies.
 
     In exact arithmetic the flow limit of a stratum point is a non-minimal
@@ -242,21 +272,8 @@ def flow_to_critical(
     into a genuine critical point, which is the faithful limit. Otherwise the
     converged endpoint is classified directly."""
     res = integrate_flow(q, A0, a, cfg)
-    if res.dip_state is not None:
-        try:
-            crit = classify_critical(
-                q, res.dip_state, a, cluster_tol, grad_tol=cfg.saddle_tol
-            )
-            A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
-            crit2 = classify_critical(q, A_ref, a, cluster_tol, cfg.grad_tol)
-            if crit2.hn_type == crit.hn_type:
-                return A_ref, crit2, res
-        except (ClassificationError, FlowError, QuiverError):
-            pass
-    if not res.converged:
-        raise FlowError(f"flow did not converge within max_time={cfg.max_time}")
-    crit = classify_critical(q, res.final, a, cluster_tol, cfg.grad_tol)
-    return res.final, crit, res
+    A, crit = critical_of_flow(q, res, a, cfg, cluster_tol)
+    return A, crit, res
 
 
 def hn_type_by_flow(

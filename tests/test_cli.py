@@ -2,13 +2,16 @@
 and byte-for-byte determinism under a fixed seed."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from quiverflow import Representation, star21
+import quiverflow
+from quiverflow import Representation, jordan2, star21
+from quiverflow import cli, strata
 from quiverflow.cli import (
     load_quiver_file,
     quiver_file_doc,
@@ -17,10 +20,16 @@ from quiverflow.cli import (
 )
 
 CLI = [sys.executable, "-m", "quiverflow.cli"]
+# the command runs in a child process, which must import the same package
+SRC = os.path.dirname(os.path.dirname(quiverflow.__file__))
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, check=False):
-    p = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    p = subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
     if check:
         assert p.returncode == 0, p.stderr
     return p
@@ -82,6 +91,36 @@ def test_flow_command_deterministic(tmp_path):
                 "--out-final", str(out), check=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_flow_command_integrates_once(tmp_path, monkeypatch):
+    # the nilpotent orbit decays algebraically, so it does not converge by
+    # t = 10; the report comes from the one flow that was run
+    q, v, _ = jordan2()
+    init = tmp_path / "nil.json"
+    nil = Representation(q, v, [np.array([[0, 1], [0, 0]], dtype=complex)])
+    init.write_text(json.dumps(rep_to_doc(nil)))
+    real = cli.integrate_flow
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (cli, strata):
+        monkeypatch.setattr(mod, "integrate_flow", counted)
+    out = tmp_path / "final.json"
+    argv = ["flow", "--quiver", "jordan2", "--init", str(init), "--max-t", "10",
+            "--out-final", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert len(calls) == 1
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["hn_type"] is None
+    assert doc["note"] == "flow did not converge within max_time=10.0"
+    assert run_cli(*argv[:-1], str(tmp_path / "again.json")).returncode == 1
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
 
 def test_strata_command():

@@ -92,6 +92,21 @@ def test_group_flow_tracks_orbit():
     assert err < 1e-6
 
 
+def test_flow_stats_fsal_invariant():
+    # first-same-as-last: one system call up front, then six per trial step
+    q, v, a = star21()
+    A0 = Representation.random(q, v, np.random.default_rng(3))
+    plain = integrate_flow(q, A0, a)
+    group, _, _ = integrate_group_flow(q, A0, a)
+    for res in (plain, group):
+        st = res.stats
+        rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
+        assert st.n_rhs == 1 + 6 * (st.n_accepted + rejected)
+        assert st.n_accepted == res.n_steps > 0
+        assert st.n_rejected_err > 0
+        assert 0 < st.h_min <= st.h_max <= FlowConfig().max_step
+
+
 def test_group_flow_zero_generator():
     # f = 0 start: generator vanishes, g stays the identity
     q, v, a = a2()

@@ -1,6 +1,8 @@
 """Representations, gauge actions, the moment map and its gradient, checked
 against finite differences and exact hand computations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from quiverflow import (
     shifted_moment,
     star21,
 )
-from conftest import random_unitary_gauge
+from conftest import random_quiver_with_infty, random_unitary_gauge
+from quiverflow.repspace import BlockEmbedding, moment_kernel
 
 
 def test_representation_shapes():
@@ -130,3 +133,65 @@ def test_gradient_vanishes_iff_critical_blocks_commute():
     q, v, a = a2()
     A = Representation.zero(q, v)
     assert grad_norm(q, A, a) == 0.0
+
+
+def _per_edge_reference(q, A, a):
+    """H_l, -grad f and f edge by edge, straight from their definitions."""
+    H = [-float(x) * np.eye(d, dtype=complex) for x, d in zip(a, A.dims)]
+    for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
+        H[in_i] -= 0.5 * (m @ m.conj().T)
+        H[out_i] += 0.5 * (m.conj().T @ m)
+    grad = [
+        2.0 * (H[in_i] @ m - m @ H[out_i]) for (out_i, in_i), m in zip(q.edge_indices(), A.mats)
+    ]
+    return H, grad, sum(float(np.sum(np.abs(b) ** 2)) for b in H)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    cases = [random_quiver_with_infty(rng) for _ in range(12)]
+    q, dims = random_quiver_with_infty(rng, max_vertices=3)
+    cases.append((q, (0,) + dims[1:]))  # a vertex of dimension 0
+    cases.append((q, (0,) * len(dims)))  # the all-zero dimension vector
+    cases.append((Quiver(("1", "2"), ()), (2, 3)))  # no edges
+    for q, dims in cases:
+        a = StabilityParam([Fraction(int(rng.integers(-6, 7)), 3) for _ in dims])
+        yield q, Representation.random(q, dims, rng), a
+
+
+def _rel_err(got, want):
+    num = np.sqrt(sum(np.sum(np.abs(g - w) ** 2) for g, w in zip(got, want)))
+    den = np.sqrt(sum(np.sum(np.abs(w) ** 2) for w in want))
+    return num / den if den else num
+
+
+def test_moment_kernel_matches_per_edge_reference():
+    cases = list(_kernel_cases())
+    edge_lists = [q.edges for q, _, _ in cases]
+    assert any(s == t for edges in edge_lists for s, t in edges)  # a loop
+    assert any(len(set(edges)) < len(edges) for edges in edge_lists)  # parallel edges
+    for q, A, a in cases:
+        H_ref, grad_ref, f_ref = _per_edge_reference(q, A, a)
+        H = shifted_moment(q, A, a).blocks
+        grad = neg_gradient(q, A, a)
+        assert [b.shape for b in H] == [b.shape for b in H_ref]
+        assert [m.shape for m in grad] == [m.shape for m in grad_ref]
+        assert _rel_err(H, H_ref) <= 1e-13
+        assert _rel_err(grad, grad_ref) <= 1e-13
+        assert abs(f_value(q, A, a) - f_ref) <= 1e-13 * f_ref
+        gn_ref = np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in grad_ref))
+        assert grad_norm(q, A, a) == pytest.approx(gn_ref, rel=1e-13)
+
+
+def test_moment_kernel_keeps_off_block_zeros():
+    # the flow driver integrates the embedded edges, so every entry outside
+    # an edge block must stay exactly zero
+    for q, A, a in _kernel_cases():
+        emb = BlockEmbedding(q, A.dims)
+        H, K, _ = moment_kernel(emb.embed(A.mats), emb.shift(a))
+        edge_mask = emb.embed([np.ones_like(m) for m in A.mats]) != 0
+        vertex_mask = np.zeros(H.shape, dtype=bool)
+        for s in emb.vertex_slices:
+            vertex_mask[s, s] = True
+        assert np.all(K[~edge_mask] == 0)
+        assert np.all(H[~vertex_mask] == 0)

@@ -30,6 +30,7 @@ from quiverflow import (
     tangent_decomposition,
     verify_graded_limit,
 )
+from quiverflow import strata
 from conftest import random_unitary_gauge
 
 
@@ -236,3 +237,25 @@ def test_flow_to_critical_reports_flyby():
     assert crit.hn_type == ((1, 1), (1, 0))
     assert grad_norm(q, A_inf, a) < 1e-7
     assert res.dip_state is not None
+    assert res.fallback_reason is None
+
+
+def test_flow_to_critical_records_fallback_reason(monkeypatch):
+    q, v, a = star21()
+    A, _ = make_hn_example(q, ((1, 1), (1, 0)), a, seed=10)
+    real = strata.classify_critical
+    calls = []
+
+    def fail_on_dip(q_, A_, *args, **kwargs):
+        calls.append(A_)
+        if len(calls) == 1:
+            raise ClassificationError("forced on the dip state")
+        return real(q_, A_, *args, **kwargs)
+
+    monkeypatch.setattr(strata, "classify_critical", fail_on_dip)
+    A_inf, crit, res = flow_to_critical(q, A, a)
+    assert res.dip_state is not None and calls[0] is res.dip_state
+    assert res.fallback_reason == "ClassificationError: forced on the dip state"
+    # the endpoint is classified instead, and warnings stay untouched
+    assert A_inf is res.final and crit.hn_type == ((2, 1),)
+    assert res.warnings == []
