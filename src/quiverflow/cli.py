@@ -10,6 +10,11 @@ strings to keep the combinatorics exact.
 Representation file (JSON): {"matrices": [[[ [re, im], ... ] per row] per
 edge]} in the quiver's edge order.
 
+Stats file (JSON, `flow --stats PATH`): the integrator's FlowStats counters,
+plus "critical_path" (the state classified: "dip" or "endpoint"; null when
+the flow did not converge and left no usable dip) and "fallback_reason". It
+is written only on request, so the other outputs stay byte-deterministic.
+
 All randomness flows from a single --seed through numpy.random.default_rng.
 Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity), 2 input
 validation. Errors are emitted as one JSON object on stderr. File writes are
@@ -20,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +204,12 @@ def cmd_flow(args) -> int:
     if res.warnings:
         final["warnings"] = res.warnings
     _emit(args.out_final, json.dumps(final, indent=2) + "\n")
+    if args.stats:
+        # h_min is infinite, written as null, when no step was accepted
+        stats = {k: v if math.isfinite(v) else None for k, v in asdict(res.stats).items()}
+        stats["critical_path"] = res.critical_path
+        stats["fallback_reason"] = res.fallback_reason
+        _emit(args.stats, json.dumps(stats, indent=2) + "\n")
     if not res.converged:
         _fail(1, "non_convergence", f"flow stopped at t={res.elapsed} with grad_norm={res.final_grad_norm}")
     return 0
@@ -331,6 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="initial representation file (default: random from --seed)")
     p.add_argument("--out-traj", help="trajectory CSV output path")
     p.add_argument("--out-final", default="-", help="final state JSON path (default stdout)")
+    p.add_argument(
+        "--stats",
+        help="integration counters, critical_path and fallback_reason as JSON",
+    )
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("strata", help="enumerate HN types with slopes and codimensions")

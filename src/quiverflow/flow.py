@@ -2,18 +2,20 @@
 the paired group flow on the complexified gauge group, and the sigma
 monotonicity monitor.
 
-All three flows run on one explicit embedded Dormand-Prince 5(4) driver with
-an extra acceptance gate enforcing monotone decrease of f, which guarantees
-the Lyapunov property the convergence theory relies on. Each flow is a
-"system": a function of one flat state vector returning its time derivative,
-f and ||grad f||. The representation part of the state is the block
-embedding of repspace.BlockEmbedding, so one call of repspace.moment_kernel
-(three matrix products, no loop over edges) evaluates H, the gradient and f.
+All three flows run on one explicit embedded Dormand-Prince 8(5,3) driver
+(DOP853) with an extra acceptance gate enforcing monotone decrease of f,
+which guarantees the Lyapunov property the convergence theory relies on.
+Each flow is a "system": a function of one flat state vector returning its
+time derivative, f and ||grad f||. The representation part of the state is
+the block embedding of repspace.BlockEmbedding, so one call of
+repspace.moment_kernel (three matrix products, no loop over edges) evaluates
+H, the gradient and f.
 The pair is first-same-as-last (FSAL): its last stage is evaluated at the
 new point, so that stage is the next step's first stage and also yields f
-and ||grad f|| there. A step, accepted or rejected, costs six system calls,
-which is six kernel calls (twelve for the paired flow, whose system is two
-group-flow systems).
+and ||grad f|| there. A trial step, accepted or rejected, costs twelve
+system calls, which is twelve kernel calls (24 for the paired flow, whose
+system is two group-flow systems). The step error blends the 5th- and
+3rd-order embedded estimates, as in DOP853.
 The group flow is co-integrated with the same pair and the same factor-2
 time scale as the gradient flow, so that g(t) . A(0) tracks the flow
 trajectory.
@@ -30,24 +32,49 @@ import numpy as np
 from .quiver import Quiver, StabilityParam, rank
 from .repspace import BlockEmbedding, GaugeElement, Representation, act, moment_kernel
 
-# Dormand-Prince 5(4) tableau. Row 6 of _A equals the 5th-order weights, so
-# the last stage is evaluated at the new point (FSAL).
-_A = np.array(
+# Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10, coefficients of dop853.f). Row i of _A holds the weights of
+# stages 0..i-1 for stage i; row 12 is the 8th-order weights b, so the last
+# stage is evaluated at the new point (FSAL).
+_A_ROWS = [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+]
+_A = np.array([row + [0.0] * (12 - len(row)) for row in _A_ROWS])
+# weights of the 5th- and 3rd-order error estimates over the 13 stages; the
+# step error is their blend h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
+_E = np.array(
     [
-        [0.0] * 6,
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+         -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+         0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0],
+        [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+         1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+         -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0],
     ]
 )
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-# weights of the error estimate y5 - y4
-_E = np.append(_A[6], 0.0) - _B4
 
 
 class FlowError(RuntimeError):
@@ -98,11 +125,11 @@ class FlowSample:
 
 @dataclass
 class FlowStats:
-    """Work counters of one integration. Every trial step costs six system
-    calls after the first (FSAL), so
+    """Work counters of one integration. Every trial step costs twelve
+    system calls after the first (FSAL), so
 
-        n_rhs == 1 + 6 * (n_accepted + n_rejected_err
-                          + n_rejected_monotone + n_nonfinite).
+        n_rhs == 1 + 12 * (n_accepted + n_rejected_err
+                           + n_rejected_monotone + n_nonfinite).
 
     Rejections are split by reason: error estimate above tolerance, f rising
     past the monotone gate, or a non-finite trial. h_min and h_max range over
@@ -133,6 +160,9 @@ class FlowResult:
     dip_grad_norm: float | None = None
     dip_f: float | None = None
     stats: FlowStats = field(default_factory=FlowStats)
+    # which state strata.critical_of_flow classified: "dip" (the refined
+    # saddle-flyby state) or "endpoint"; None until it has run
+    critical_path: str | None = None
     # why strata.critical_of_flow set the dip state aside for the endpoint,
     # "ExceptionClass: message" when classifying or refining it raised
     fallback_reason: str | None = None
@@ -159,7 +189,13 @@ class _DriverOut:
 
 
 def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
-    """The adaptive DP5(4) driver shared by every flow.
+    """The adaptive Dormand-Prince 8(5,3) driver shared by every flow.
+
+    A trial step takes twelve system calls into a (13, n) stage array; its
+    error is h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2) with the embedded
+    5th- and 3rd-order estimates e5 and e3, against the scale
+    atol + rtol * max(||y||, ||y_new||), and the step factor goes with the
+    1/8th power of scale / error.
 
     system(y) returns (dy/dt, f, ||grad f||) at the flat state y.
     on_sample(t, y, f, gnorm) is called on the initial state, every
@@ -171,7 +207,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
     y = y0.astype(complex)
     y_norm = _norm(y)
     h = cfg.initial_step
-    K = np.empty((7, y.size), dtype=complex)
+    K = np.empty((13, y.size), dtype=complex)
     K[0], fs, g = system(y)
     on_sample(t, y, fs, g)
     run_min = (g, y, t, fs)
@@ -187,12 +223,15 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
         # overflow in a rejected trial step is harmless: a non-finite error
         # estimate fails the acceptance test below and the step is halved
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 7):
+            for i in range(1, 13):
                 y_new = y + h * (_A[i, :i] @ K[:i])
                 K[i], f_new, g_new = system(y_new)
-            err = h * _norm(_E @ K)
+            e5, e3 = _E @ K
+            n5, n3 = float(np.vdot(e5, e5).real), float(np.vdot(e3, e3).real)
+            denom = n5 + 0.01 * n3
+            err = h * n5 / math.sqrt(denom) if denom else 0.0
             y_new_norm = _norm(y_new)
-        stats.n_rhs += 6
+        stats.n_rhs += 12
         scale = cfg.atol + cfg.rtol * max(y_norm, y_new_norm)
         finite = math.isfinite(err) and math.isfinite(f_new)
         if not finite:
@@ -200,7 +239,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
         if err <= scale and f_new <= fs + _F_MONOTONE_TOL * (1.0 + fs):
             t += h
             y, y_norm, fs, g = y_new, y_new_norm, f_new, g_new
-            K[0] = K[6]
+            K[0] = K[12]
             stats.n_accepted += 1
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
@@ -211,7 +250,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
             if stats.n_accepted % cfg.sample_stride == 0:
                 on_sample(t, y, fs, g)
             if err > 0:
-                h *= min(5.0, max(0.2, cfg.safety * (scale / err) ** 0.2))
+                h *= min(5.0, max(0.2, cfg.safety * (scale / err) ** 0.125))
             else:
                 h *= 5.0
         else:
@@ -224,7 +263,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
             if err <= scale or not finite:
                 h *= 0.5
             else:
-                h *= max(0.1, min(0.5, cfg.safety * (scale / err) ** 0.2))
+                h *= max(0.1, min(0.5, cfg.safety * (scale / err) ** 0.125))
             if h < cfg.min_step:
                 raise StepUnderflowError(
                     f"step size underflow at t={t:.6g} (f={fs:.6g})", t, y

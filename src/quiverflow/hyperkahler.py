@@ -100,7 +100,6 @@ def flow_on_level(
             f"initial ||Phi_C|| = {phi_c_norm(dr):.3g} is off the zero level (tol {level_tol:.3g})"
         )
     qd = double(dr.base)
-    n_a = len(dr.base.edges)
 
     def extra(rep: Representation) -> float:
         return phi_c_norm(DoubledRep(dr.base, rep))

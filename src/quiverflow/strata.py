@@ -234,8 +234,9 @@ def critical_of_flow(
 ) -> tuple[Representation, CriticalType]:
     """The critical point a finished flow identifies (see flow_to_critical).
 
-    When the dip state is set aside for the endpoint, the reason is recorded
-    in res.fallback_reason."""
+    The state classified, "dip" or "endpoint", is recorded in
+    res.critical_path; when the dip state is set aside for the endpoint, the
+    reason is recorded in res.fallback_reason."""
     if res.dip_state is not None:
         try:
             crit = classify_critical(
@@ -244,6 +245,7 @@ def critical_of_flow(
             A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
             crit2 = classify_critical(q, A_ref, a, cluster_tol, cfg.grad_tol)
             if crit2.hn_type == crit.hn_type:
+                res.critical_path = "dip"
                 return A_ref, crit2
             res.fallback_reason = (
                 f"refined type {crit2.hn_type} differs from dip type {crit.hn_type}"
@@ -252,6 +254,7 @@ def critical_of_flow(
             res.fallback_reason = f"{type(e).__name__}: {e}"
     if not res.converged:
         raise FlowError(f"flow did not converge within max_time={cfg.max_time}")
+    res.critical_path = "endpoint"
     return res.final, classify_critical(q, res.final, a, cluster_tol, cfg.grad_tol)
 
 

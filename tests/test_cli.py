@@ -93,6 +93,35 @@ def test_flow_command_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_flow_command_stats_file(tmp_path):
+    # the hn-typing example of test_strata: a saddle flyby refined at the dip
+    q, v, a = star21()
+    A, _ = strata.make_hn_example(q, ((1, 1), (1, 0)), a, seed=10)
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(rep_to_doc(A)))
+    plain = run_cli("flow", "--quiver", "star21", "--init", str(init), check=True)
+    stats = tmp_path / "stats.json"
+    p = run_cli("flow", "--quiver", "star21", "--init", str(init),
+                "--stats", str(stats), check=True)
+    assert p.stdout == plain.stdout
+    doc = json.loads(stats.read_text())
+    final = json.loads(p.stdout)
+    assert doc["critical_path"] == "dip" and doc["fallback_reason"] is None
+    assert final["hn_type"] == [[1, 1], [1, 0]]
+    assert doc["n_accepted"] == final["n_steps"] > 0
+    rejected = doc["n_rejected_err"] + doc["n_rejected_monotone"] + doc["n_nonfinite"]
+    assert doc["n_rhs"] == 1 + 12 * (doc["n_accepted"] + rejected)
+    assert 0 < doc["h_min"] <= doc["h_max"]
+    # a start at a critical point takes no step: h_min is written as null
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(rep_to_doc(Representation.zero(q, v))))
+    run_cli("flow", "--quiver", "star21", "--init", str(zero),
+            "--stats", str(stats), check=True)
+    doc = json.loads(stats.read_text())
+    assert doc["n_accepted"] == 0 and doc["h_min"] is None
+    assert doc["critical_path"] == "endpoint"
+
+
 def test_flow_command_integrates_once(tmp_path, monkeypatch):
     # the nilpotent orbit decays algebraically, so it does not converge by
     # t = 10; the report comes from the one flow that was run

@@ -10,6 +10,7 @@ from quiverflow import (
     Representation,
     a2,
     act,
+    enumerate_hn_types,
     f_value,
     grad_norm,
     integrate_flow,
@@ -18,8 +19,11 @@ from quiverflow import (
     paired_flow_sigma,
     sigma,
     sigma_from_gauge,
+    slope,
     star21,
+    two_filtered_param,
 )
+from quiverflow import flow
 from conftest import random_unitary_gauge
 
 
@@ -93,7 +97,7 @@ def test_group_flow_tracks_orbit():
 
 
 def test_flow_stats_fsal_invariant():
-    # first-same-as-last: one system call up front, then six per trial step
+    # first-same-as-last: one system call up front, then twelve per trial step
     q, v, a = star21()
     A0 = Representation.random(q, v, np.random.default_rng(3))
     plain = integrate_flow(q, A0, a)
@@ -101,10 +105,45 @@ def test_flow_stats_fsal_invariant():
     for res in (plain, group):
         st = res.stats
         rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
-        assert st.n_rhs == 1 + 6 * (st.n_accepted + rejected)
+        assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
         assert st.n_accepted == res.n_steps > 0
         assert st.n_rejected_err > 0
         assert 0 < st.h_min <= st.h_max <= FlowConfig().max_step
+
+
+def test_dop853_tableau():
+    A, (e5, e3) = flow._A, flow._E
+    assert A.shape == (13, 12) and flow._E.shape == (2, 13)
+    c = A[:12].sum(axis=1)
+    b = A[12]
+    # quadrature conditions of order 8
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) < 1e-13
+    # error estimates vanish on constants
+    assert abs(e5.sum()) < 1e-13 and abs(e3.sum()) < 1e-13
+    # the FSAL row is the 8th-order weights b of dop853.f
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(b, coeffs.B)
+    assert np.array_equal(A, coeffs.A[:13, :12])
+    assert np.array_equal(e5, coeffs.E5) and np.array_equal(e3, coeffs.E3)
+
+
+def test_no_stall_above_grad_tol_at_larger_rank():
+    # these starts stalled with ||grad|| at 1e-8..4e-8, just above grad_tol,
+    # under the 5th-order pair
+    q, _, _ = star21()
+    cases = [((4, 1), 8, 100.0), ((5, 1), 4, 100.0)]
+    cases += [((6, 1), seed, 20.0) for seed in range(8)]
+    for v, seed, max_time in cases:
+        a = two_filtered_param(q, v, "inf", -1)
+        A0 = Representation.random(q, v, np.random.default_rng(seed))
+        res = integrate_flow(q, A0, a, FlowConfig(max_time=max_time))
+        assert res.converged, (v, seed)
+        crit = [
+            sum(sum(p) * float(slope(q, p, a)) ** 2 for p in t)
+            for t in enumerate_hn_types(q, v, a)
+        ]
+        assert min(abs(res.final_f - f) for f in crit) < 1e-8, (v, seed)
 
 
 def test_group_flow_zero_generator():

@@ -237,6 +237,7 @@ def test_flow_to_critical_reports_flyby():
     assert crit.hn_type == ((1, 1), (1, 0))
     assert grad_norm(q, A_inf, a) < 1e-7
     assert res.dip_state is not None
+    assert res.critical_path == "dip"
     assert res.fallback_reason is None
 
 
@@ -256,6 +257,7 @@ def test_flow_to_critical_records_fallback_reason(monkeypatch):
     A_inf, crit, res = flow_to_critical(q, A, a)
     assert res.dip_state is not None and calls[0] is res.dip_state
     assert res.fallback_reason == "ClassificationError: forced on the dip state"
+    assert res.critical_path == "endpoint"
     # the endpoint is classified instead, and warnings stay untouched
     assert A_inf is res.final and crit.hn_type == ((2, 1),)
     assert res.warnings == []
