@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quiver import Quiver, StabilityParam, rank
-from .repspace import BlockEmbedding, GaugeElement, Representation, act, moment_kernel
+from .repspace import BlockEmbedding, GaugeElement, Representation, act, moment_kernel, rep_norm
 
 # Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10, coefficients of dop853.f). Row i of _A holds the weights of
@@ -377,10 +377,7 @@ def integrate_group_flow(
     def on_sample(t, y, fs, g):
         nonlocal max_drift
         A, gb = to_rep(y), gauge_blocks(y)
-        drift = float(
-            np.sqrt(sum(np.sum(np.abs(m1 - m2) ** 2) for m1, m2 in
-                        zip(act(GaugeElement(gb), A0).mats, A.mats)))
-        )
+        drift = rep_norm([m1 - m2 for m1, m2 in zip(act(GaugeElement(gb), A0).mats, A.mats)])
         max_drift = max(max_drift, drift)
         samples.append(FlowSample(t=t, f=fs, grad_norm=g))
         gauge_curve.append((t, gb))

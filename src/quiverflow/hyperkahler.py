@@ -11,7 +11,7 @@ import numpy as np
 
 from .flow import FlowConfig, FlowResult, integrate_flow
 from .quiver import Quiver, QuiverError, StabilityParam
-from .repspace import Representation
+from .repspace import Representation, rep_norm
 from .strata import CriticalType, classify_critical
 
 
@@ -83,7 +83,7 @@ def moment_complex(dr: DoubledRep) -> tuple[np.ndarray, ...]:
 
 
 def phi_c_norm(dr: DoubledRep) -> float:
-    return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in moment_complex(dr))))
+    return rep_norm(moment_complex(dr))
 
 
 def flow_on_level(
@@ -166,4 +166,4 @@ def level_linearization_residual(
     n_a = len(dr.base.edges)
     da, db = list(delta[:n_a]), list(delta[n_a:])
     blocks = _phi_c_bilinear(dr.base, dr.rep.dims, da, db)
-    return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in blocks)))
+    return rep_norm(blocks)

@@ -7,7 +7,7 @@ Everything in this module is exact (integers and Fractions); no floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 

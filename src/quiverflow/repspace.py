@@ -66,7 +66,7 @@ class Representation:
         return cls(quiver, dims, mats)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats)))
+        return rep_norm(self.mats)
 
     def with_mats(self, mats: Sequence[np.ndarray]) -> "Representation":
         return Representation(self.quiver, self.dims, mats)
@@ -75,6 +75,11 @@ class Representation:
 def rep_inner(x: Sequence[np.ndarray], y: Sequence[np.ndarray]) -> float:
     """Real inner product Re tr(X* Y), summed over edges."""
     return float(sum(np.real(np.vdot(a, b)) for a, b in zip(x, y)))
+
+
+def rep_norm(mats: Sequence[np.ndarray]) -> float:
+    """Frobenius norm, summed over the matrices."""
+    return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in mats)))
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,6 @@ class ShiftedMoment:
     """Per-vertex Hermitian matrices H_l = i(Phi_l(A) - alpha_l id)."""
 
     blocks: tuple[np.ndarray, ...]
-
-    def norm_sq(self) -> float:
-        return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
 
 class BlockEmbedding:
@@ -272,10 +274,10 @@ def finite_difference_check(
     for _ in range(n_points):
         A = Representation.random(q, dims, rng)
         g = neg_gradient(q, A, a)
-        gn = float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in g)))
+        gn = rep_norm(g)
         for _ in range(n_dirs):
             d = Representation.random(q, dims, rng).mats
-            dn = float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in d)))
+            dn = rep_norm(d)
             d = [m / dn for m in d]
             plus = A.with_mats([m + h * x for m, x in zip(A.mats, d)])
             minus = A.with_mats([m - h * x for m, x in zip(A.mats, d)])

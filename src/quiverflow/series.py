@@ -8,7 +8,6 @@ truncation degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .quiver import (

@@ -6,7 +6,6 @@ intertwiner oracle, and the numeric tangent-space codimension check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ from .quiver import (
     QuiverError,
     StabilityParam,
     check_hn_type,
-    degree,
     rank,
     shifted_param,
     slope,
@@ -43,6 +41,13 @@ class SlopeMismatchError(ClassificationError):
 
 class ConstructionError(RuntimeError):
     pass
+
+
+def _part_offsets(hn_type: HNType) -> np.ndarray:
+    """Block layout of an HN type in its coordinate filtration: part s
+    occupies coordinates off[s, l]:off[s + 1, l] at vertex l, and the last
+    row off[-1] is the dimension vector. Shape (L + 1, n_vertices)."""
+    return np.vstack([np.zeros(len(hn_type[0]), dtype=int), np.cumsum(hn_type, axis=0)])
 
 
 @dataclass
@@ -83,16 +88,15 @@ class Filtration:
     @classmethod
     def coordinate(cls, dims: Sequence[int], hn_type: HNType) -> "Filtration":
         """The standard coordinate filtration: consecutive coordinate blocks."""
-        levels = []
-        offsets = [0] * len(dims)
-        for part in hn_type:
-            per_vertex = []
-            for l, d in enumerate(dims):
-                e = np.eye(d, dtype=complex)[:, offsets[l] : offsets[l] + part[l]]
-                per_vertex.append(e)
-                offsets[l] += part[l]
-            levels.append(tuple(per_vertex))
-        return cls(hn_type, tuple(levels))
+        off = _part_offsets(hn_type)
+        levels = tuple(
+            tuple(
+                np.eye(d, dtype=complex)[:, off[s, l] : off[s + 1, l]]
+                for l, d in enumerate(dims)
+            )
+            for s in range(len(hn_type))
+        )
+        return cls(hn_type, levels)
 
 
 def classify_critical(
@@ -190,38 +194,26 @@ def refine_critical(
     its type: rotate into the eigenbasis, drop the off-diagonal residue, and
     flow each diagonal block to the zero level of its slope-shifted
     functional (those flows have stable limits, so they converge fully)."""
+    edges = q.edge_indices()
     U = [np.concatenate([crit.bases[s][l] for s in range(len(crit.hn_type))], axis=1)
          for l in range(q.n_vertices)]
-    offsets = []
-    for l in range(q.n_vertices):
-        off, acc = [], 0
-        for part in crit.hn_type:
-            off.append(acc)
-            acc += part[l]
-        off.append(acc)
-        offsets.append(off)
-    blocks_per_part: list[list[np.ndarray]] = []
+    rot = [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, A.mats)]
+    off = _part_offsets(crit.hn_type)
+    diag = []
     for s, part in enumerate(crit.hn_type):
-        mats = []
-        for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-            rot = U[in_i].conj().T @ m @ U[out_i]
-            r0, r1 = offsets[in_i][s], offsets[in_i][s + 1]
-            c0, c1 = offsets[out_i][s], offsets[out_i][s + 1]
-            mats.append(rot[r0:r1, c0:c1])
-        B = Representation(q, part, mats)
+        mats = [
+            r[off[s, in_i] : off[s + 1, in_i], off[s, out_i] : off[s + 1, out_i]]
+            for (out_i, in_i), r in zip(edges, rot)
+        ]
         a_s = shifted_param(q, part, a)
-        res = integrate_flow(q, B, a_s, cfg)
+        res = integrate_flow(q, Representation(q, part, mats), a_s, cfg)
         if not res.converged:
             raise FlowError("diagonal block refinement did not converge")
-        blocks_per_part.append(list(res.final.mats))
-    out_mats = []
-    for e_i, (out_i, in_i) in enumerate(q.edge_indices()):
-        rot = np.zeros((A.dims[in_i], A.dims[out_i]), dtype=complex)
-        for s in range(len(crit.hn_type)):
-            r0, r1 = offsets[in_i][s], offsets[in_i][s + 1]
-            c0, c1 = offsets[out_i][s], offsets[out_i][s + 1]
-            rot[r0:r1, c0:c1] = blocks_per_part[s][e_i]
-        out_mats.append(U[in_i] @ rot @ U[out_i].conj().T)
+        diag.append(res.final.mats)
+    out_mats = [
+        U[in_i] @ r @ U[out_i].conj().T
+        for (out_i, in_i), r in zip(edges, _assemble_blocks(q, crit.hn_type, diag))
+    ]
     return Representation(q, A.dims, out_mats)
 
 
@@ -331,39 +323,29 @@ def sample_semistable(
 
 def _assemble_blocks(
     q: Quiver,
-    dims: Sequence[int],
     hn_type: HNType,
-    diag: Sequence[Representation],
-    eta: Sequence[np.ndarray] | None,
-) -> Representation:
-    """Block-matrix assembly: diagonal blocks from `diag`, strictly upper
-    blocks from `eta` (per-edge full matrices already laid out) when given."""
-    offsets = []
-    for l in range(q.n_vertices):
-        off, acc = [], 0
-        for part in hn_type:
-            off.append(acc)
-            acc += part[l]
-        offsets.append(off)
+    diag: Sequence[Sequence[np.ndarray]],
+    eta: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Per-edge block matrices in the coordinate filtration of `hn_type`:
+    diag[s][e] is the diagonal block of part s at edge e, laid over `eta`
+    (per-edge full matrices, copied) or over zeros."""
+    off = _part_offsets(hn_type)
     mats = []
     for e_i, (out_i, in_i) in enumerate(q.edge_indices()):
         m = (
             eta[e_i].copy()
             if eta is not None
-            else np.zeros((dims[in_i], dims[out_i]), dtype=complex)
+            else np.zeros((off[-1, in_i], off[-1, out_i]), dtype=complex)
         )
-        for s, B in enumerate(diag):
-            r0 = offsets[in_i][s]
-            c0 = offsets[out_i][s]
-            blk = B.mats[e_i]
-            m[r0 : r0 + blk.shape[0], c0 : c0 + blk.shape[1]] = blk
+        for s, blocks in enumerate(diag):
+            m[off[s, in_i] : off[s + 1, in_i], off[s, out_i] : off[s + 1, out_i]] = blocks[e_i]
         mats.append(m)
-    return Representation(q, dims, mats)
+    return mats
 
 
 def _upper_triangular_noise(
     q: Quiver,
-    dims: Sequence[int],
     hn_type: HNType,
     rng: np.random.Generator,
     scale: float,
@@ -371,24 +353,16 @@ def _upper_triangular_noise(
     """Per-edge matrices supported on the strictly upper blocks (maps from
     lower-slope summands into higher-slope ones, preserving the filtration)."""
     L = len(hn_type)
-    offsets = []
-    for l in range(q.n_vertices):
-        off, acc = [], 0
-        for part in hn_type:
-            off.append(acc)
-            acc += part[l]
-        offsets.append(off)
+    off = _part_offsets(hn_type)
     out = []
     for out_i, in_i in q.edge_indices():
-        m = np.zeros((dims[in_i], dims[out_i]), dtype=complex)
+        m = np.zeros((off[-1, in_i], off[-1, out_i]), dtype=complex)
         for j in range(L):
             for k in range(j + 1, L):
-                r0, r1 = offsets[in_i][j], offsets[in_i][j] + hn_type[j][in_i]
-                c0, c1 = offsets[out_i][k], offsets[out_i][k] + hn_type[k][out_i]
-                shape = (r1 - r0, c1 - c0)
+                shape = (hn_type[j][in_i], hn_type[k][out_i])
                 if shape[0] and shape[1]:
-                    m[r0:r1, c0:c1] = scale * (
-                        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    m[off[j, in_i] : off[j + 1, in_i], off[k, out_i] : off[k + 1, out_i]] = (
+                        scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                     )
         out.append(m)
     return out
@@ -420,8 +394,8 @@ def make_hn_example(
             )
         diag.append(sample_semistable(q, part, a_s, rng, cfg, max_attempts))
     diag_norm = max(1.0, max(B.norm() for B in diag))
-    eta = _upper_triangular_noise(q, dims, hn_type, rng, eta_scale * diag_norm)
-    A = _assemble_blocks(q, dims, hn_type, diag, eta)
+    eta = _upper_triangular_noise(q, hn_type, rng, eta_scale * diag_norm)
+    A = Representation(q, dims, _assemble_blocks(q, hn_type, [B.mats for B in diag], eta))
     return A, Filtration.coordinate(dims, hn_type)
 
 
@@ -446,8 +420,8 @@ def make_critical_point(
         res = integrate_flow(q, B, a_s, cfg)
         if not res.converged or res.final_f > 1e-12:
             raise ConstructionError(f"block of dimension {part} did not reach the zero level")
-        diag.append(res.final)
-    A = _assemble_blocks(q, dims, hn_type, diag, eta=None)
+        diag.append(res.final.mats)
+    A = Representation(q, dims, _assemble_blocks(q, hn_type, diag))
     return A, Filtration.coordinate(dims, hn_type)
 
 
@@ -468,19 +442,12 @@ def graded_object(
             resid = (np.eye(p_in.shape[0]) - p_in) @ m @ p_out
             if resid.size and np.linalg.norm(resid) >= invariance_tol:
                 raise QuiverError("filtration is not invariant under the representation")
-    mats = []
-    for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-        blocks = [
-            filt.bases[s][in_i].conj().T @ m @ filt.bases[s][out_i] for s in range(L)
-        ]
-        big = np.zeros((A.dims[in_i], A.dims[out_i]), dtype=complex)
-        r = c = 0
-        for b in blocks:
-            big[r : r + b.shape[0], c : c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        mats.append(big)
-    return Representation(q, A.dims, mats)
+    diag = [
+        [filt.bases[s][in_i].conj().T @ m @ filt.bases[s][out_i]
+         for (out_i, in_i), m in zip(q.edge_indices(), A.mats)]
+        for s in range(L)
+    ]
+    return Representation(q, A.dims, _assemble_blocks(q, filt.hn_type, diag))
 
 
 @dataclass
@@ -495,29 +462,44 @@ class HomSpace:
         return len(self.basis)
 
 
-def hom_space(
-    q: Quiver, B: Representation, C: Representation, rank_tol: float = 1e-10
-) -> HomSpace:
-    """Solve the homogeneous intertwining system by SVD nullspace."""
+def _intertwiner_matrix(
+    q: Quiver, B: Representation, C: Representation
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix of psi -> (psi_in B_a - C_a psi_out)_a, whose kernel is Hom(B, C).
+
+    The unknown psi_l is a v_C[l] x v_B[l] matrix. Columns hold one variable
+    block per vertex, in vertex order, each the row-major vec of psi_l; the
+    block of vertex l is offs[l]:offs[l + 1]. Rows hold the row-major vec of
+    each edge's equation, in edge order, skipping edges with no entries.
+    With B = C = A this is rho_A^C on the gauge Lie algebra. Returns (M, offs)."""
     bdims, cdims = B.dims, C.dims
-    var_sizes = [cdims[l] * bdims[l] for l in range(q.n_vertices)]
-    n_vars = sum(var_sizes)
-    offs = np.concatenate([[0], np.cumsum(var_sizes)])
+    offs = np.concatenate([[0], np.cumsum([cdims[l] * bdims[l] for l in range(q.n_vertices)])])
     rows = []
     for (out_i, in_i), mb, mc in zip(q.edge_indices(), B.mats, C.mats):
         n_eq = cdims[in_i] * bdims[out_i]
         if n_eq == 0:
             continue
-        block = np.zeros((n_eq, n_vars), dtype=complex)
+        block = np.zeros((n_eq, offs[-1]), dtype=complex)
         # vec_r(psi_in @ mb) = (I kron mb^T) vec_r(psi_in)
         block[:, offs[in_i] : offs[in_i + 1]] = np.kron(np.eye(cdims[in_i]), mb.T)
         # vec_r(mc @ psi_out) = (mc kron I) vec_r(psi_out)
         block[:, offs[out_i] : offs[out_i + 1]] -= np.kron(mc, np.eye(bdims[out_i]))
         rows.append(block)
+    M = np.concatenate(rows, axis=0) if rows else np.zeros((0, offs[-1]), dtype=complex)
+    return M, offs
+
+
+def hom_space(
+    q: Quiver, B: Representation, C: Representation, rank_tol: float = 1e-10
+) -> HomSpace:
+    """Solve the homogeneous intertwining system by SVD nullspace. The system
+    is _intertwiner_matrix(q, B, C): row-major vec per edge, and one variable
+    block per vertex in vertex order."""
+    M, offs = _intertwiner_matrix(q, B, C)
+    n_vars = M.shape[1]
     if n_vars == 0:
         return HomSpace(basis=[])
-    if rows:
-        M = np.concatenate(rows, axis=0)
+    if M.shape[0]:
         _, s, vh = np.linalg.svd(M)
         cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
         r = int(np.sum(s > cutoff))
@@ -527,7 +509,7 @@ def hom_space(
     basis = []
     for row in null:
         psi = tuple(
-            row[offs[l] : offs[l + 1]].reshape(cdims[l], bdims[l])
+            row[offs[l] : offs[l + 1]].reshape(C.dims[l], B.dims[l])
             for l in range(q.n_vertices)
         )
         basis.append(psi)
@@ -539,6 +521,7 @@ class IsoResult:
     isomorphic: bool
     witness: tuple[np.ndarray, ...] | None
     trials: int
+    hom_dimension: int
 
 
 def is_isomorphic(
@@ -556,7 +539,7 @@ def is_isomorphic(
         raise QuiverError("is_isomorphic requires equal dimension vectors")
     hom = hom_space(q, B, C)
     if hom.dimension == 0:
-        return IsoResult(False, None, 0)
+        return IsoResult(False, None, 0, 0)
     rng = np.random.default_rng(seed)
     for k in range(trials):
         coeffs = rng.standard_normal(hom.dimension) + 1j * rng.standard_normal(hom.dimension)
@@ -573,8 +556,8 @@ def is_isomorphic(
                 ok = False
                 break
         if ok:
-            return IsoResult(True, psi, k + 1)
-    return IsoResult(False, None, trials)
+            return IsoResult(True, psi, k + 1, hom.dimension)
+    return IsoResult(False, None, trials, hom.dimension)
 
 
 @dataclass
@@ -600,11 +583,10 @@ def verify_graded_limit(
     A_inf, crit, _ = flow_to_critical(q, A0, a, cfg, cluster_tol)
     graded = graded_object(q, A0, filt)
     iso = is_isomorphic(q, A_inf, graded, seed=seed)
-    hom = hom_space(q, A_inf, graded)
     return GradedLimitReport(
         type_match=crit.hn_type == filt.hn_type,
         isomorphic=iso.isomorphic,
-        hom_dimension=hom.dimension,
+        hom_dimension=iso.hom_dimension,
         limit_f=f_value(q, A_inf, a),
     )
 
@@ -626,75 +608,29 @@ def tangent_decomposition(
     `filt`. Equals the combinatorial stratum codimension."""
     if grad_norm(q, A, a) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
-    L = filt.n_levels()
     # work in the filtration's orthonormal coordinates
     U = [filt.full_basis(l) for l in range(q.n_vertices)]
-    mats = [
-        U[in_i].conj().T @ m @ U[out_i]
-        for (out_i, in_i), m in zip(q.edge_indices(), A.mats)
-    ]
-    dims = A.dims
-    shapes = [(dims[in_i], dims[out_i]) for out_i, in_i in q.edge_indices()]
-    n_rep = sum(r * c for r, c in shapes)
-
-    def pack(ms):
-        if n_rep == 0:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate([m.ravel() for m in ms])
-
+    edges = q.edge_indices()
+    Af = A.with_mats(
+        [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, A.mats)]
+    )
     # complex matrix of rho^C: one column per gauge basis element
-    cols = []
-    for l in range(q.n_vertices):
-        for r in range(dims[l]):
-            for c in range(dims[l]):
-                img = []
-                for (out_i, in_i), m in zip(q.edge_indices(), mats):
-                    t = np.zeros(shapes[len(img)], dtype=complex)
-                    if in_i == l:
-                        t += np.outer(np.eye(dims[l])[:, r], m[c, :])
-                    if out_i == l:
-                        t -= np.outer(m[:, r], np.eye(dims[l])[c, :])
-                    img.append(t)
-                cols.append(pack(img))
-    if cols:
-        M = np.stack(cols, axis=1)
-        Ufull, s, _ = np.linalg.svd(M, full_matrices=True)
-        cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
-        if s.size and np.any((s > cutoff / 10) & (s < cutoff * 10)):
-            raise RankAmbiguityError("singular value within a decade of the rank tolerance")
-        r = int(np.sum(s > cutoff))
-        N = Ufull[:, r:]
-    else:
-        N = np.eye(n_rep, dtype=complex)
+    M, _ = _intertwiner_matrix(q, Af, Af)
+    Ufull, s, _ = np.linalg.svd(M, full_matrices=True)
+    cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
+    if np.any((s > cutoff / 10) & (s < cutoff * 10)):
+        raise RankAmbiguityError("singular value within a decade of the rank tolerance")
+    N = Ufull[:, int(np.sum(s > cutoff)) :]
 
     # lower-triangular coordinate mask: row block strictly below column block
-    offsets = []
-    for l in range(q.n_vertices):
-        off, acc = [], 0
-        for part in filt.hn_type:
-            off.append(acc)
-            acc += part[l]
-        off.append(acc)
-        offsets.append(off)
-
-    def block_of(l, idx):
-        for s_ in range(L):
-            if offsets[l][s_] <= idx < offsets[l][s_ + 1]:
-                return s_
-        raise IndexError
-
-    mask = []
-    for (out_i, in_i), (nr, nc) in zip(q.edge_indices(), shapes):
-        m = np.zeros((nr, nc), dtype=bool)
-        for i in range(nr):
-            for j in range(nc):
-                m[i, j] = block_of(in_i, i) > block_of(out_i, j)
-        mask.append(m)
-    flat = np.concatenate([m.ravel() for m in mask]) if mask else np.zeros(0, dtype=bool)
+    parts = np.array(filt.hn_type)
+    lab = [np.repeat(np.arange(len(parts)), parts[:, l]) for l in range(q.n_vertices)]
+    mask = [(lab[in_i][:, None] > lab[out_i][None, :]).ravel() for out_i, in_i in edges]
+    flat = np.concatenate(mask) if mask else np.zeros(0, dtype=bool)
     p = int(np.count_nonzero(flat))
     if p == 0 or N.shape[1] == 0:
         return 0
-    P = np.eye(n_rep, dtype=complex)[:, flat]
+    P = np.eye(M.shape[0], dtype=complex)[:, flat]
     angles = np.linalg.svd(N.conj().T @ P, compute_uv=False)
     near_one = int(np.sum(angles > 1 - 1e-6))
     if np.any((angles > 1e-3) & (angles < 1 - 1e-3)):

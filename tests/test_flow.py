@@ -12,7 +12,6 @@ from quiverflow import (
     act,
     enumerate_hn_types,
     f_value,
-    grad_norm,
     integrate_flow,
     integrate_group_flow,
     jordan2,

@@ -7,8 +7,6 @@ import pytest
 from quiverflow import (
     DoubledRep,
     FiltrationLengthError,
-    FlowConfig,
-    GaugeElement,
     LevelError,
     Quiver,
     Representation,

@@ -2,8 +2,6 @@
 recursion, with an independent partition-counting oracle for the
 classifying-space series."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -7,7 +7,8 @@ import pytest
 from quiverflow import (
     ClassificationError,
     Filtration,
-    FlowConfig,
+    LieElement,
+    Quiver,
     Representation,
     SlopeMismatchError,
     StabilityParam,
@@ -15,6 +16,7 @@ from quiverflow import (
     act,
     classify_critical,
     codimension,
+    enumerate_hn_types,
     flow_to_critical,
     graded_object,
     grad_norm,
@@ -24,10 +26,12 @@ from quiverflow import (
     jordan2,
     make_critical_point,
     make_hn_example,
+    rho,
     slope,
     slope_generic,
     star21,
     tangent_decomposition,
+    two_filtered_param,
     verify_graded_limit,
 )
 from quiverflow import strata
@@ -177,6 +181,17 @@ def test_hom_space_identity_and_endomorphisms():
     for psi in h.basis:
         for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
             assert np.linalg.norm(psi[in_i] @ m - m @ psi[out_i]) < 1e-8
+    # with B = C = A the system matrix is rho_A^C: column (l, r, c) is the
+    # row-major image of the unit matrix E_rc at vertex l
+    M, _ = strata._intertwiner_matrix(q, A, A)
+    cols = []
+    for l, d in enumerate(v):
+        for r in range(d):
+            for c in range(d):
+                u = [np.zeros((k, k), dtype=complex) for k in v]
+                u[l][r, c] = 1
+                cols.append(np.concatenate([x.ravel() for x in rho(A, LieElement(u))]))
+    assert np.array_equal(M, np.stack(cols, axis=1))
 
 
 def test_is_isomorphic_gauge_orbit():
@@ -187,6 +202,7 @@ def test_is_isomorphic_gauge_orbit():
     res = is_isomorphic(q, A, act(g, A), seed=1)
     assert res.isomorphic
     assert res.witness is not None
+    assert res.hom_dimension == hom_space(q, A, act(g, A)).dimension
     # self-isomorphism with identity-containing hom space
     assert is_isomorphic(q, A, A).isomorphic
 
@@ -228,6 +244,27 @@ def test_tangent_decomposition_matches_codimension():
     # trivial type at a minimum: LT space is zero
     Am, filtm = make_critical_point(qs, ((2, 1),), as_, seed=9)
     assert tangent_decomposition(qs, Am, as_, filtm) == 0
+
+    # linear A3 quiver 1 -> 2 -> 3, including a length-3 type
+    q3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    a3 = StabilityParam.trace_free(q3, (1, 1, 1), [1, 0, -1])
+    types3 = enumerate_hn_types(q3, (1, 1, 1), a3, include_trivial=False)
+    t3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert len(types3) == 3 and t3 in types3 and codimension(q3, t3) == 2
+    for t in types3:
+        A3, filt3 = make_critical_point(q3, t, a3, seed=0)
+        assert tangent_decomposition(q3, A3, a3, filt3) == codimension(q3, t)
+        if t == t3:
+            # a critical point is its own graded object
+            g3 = graded_object(q3, A3, filt3)
+            assert all(np.array_equal(x, y) for x, y in zip(g3.mats, A3.mats))
+
+    # every non-trivial star type at v=(3,1) and (4,1)
+    for v in [(3, 1), (4, 1)]:
+        av = two_filtered_param(qs, v, "inf", -1)
+        for t in enumerate_hn_types(qs, v, av, include_trivial=False):
+            Ac, filtc = make_critical_point(qs, t, av, seed=0)
+            assert tangent_decomposition(qs, Ac, av, filtc) == codimension(qs, t)
 
 
 def test_flow_to_critical_reports_flyby():
