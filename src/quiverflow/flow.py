@@ -119,7 +119,6 @@ class FlowSample:
     t: float
     f: float
     grad_norm: float
-    sigma: float | None = None
     phi_c_norm: float | None = None
 
 

@@ -1,6 +1,9 @@
-"""Critical-point classification, flow-based Harder-Narasimhan typing,
-constructed ground-truth HN instances, graded-object comparison through an
-intertwiner oracle, and the numeric tangent-space codimension check.
+"""Harder-Narasimhan strata through one filtration type: a `Filtration` (an
+HN type with orthonormal level bases) and its `coordinates`, the one change
+of basis used here. A `CriticalType` is a critical filtration plus its
+eigenvalues, and a constructed critical point is a refined graded object.
+Also flow-based HN typing, intertwiner (Hom) spaces, isomorphism
+certificates and the numeric tangent-space codimension check.
 """
 
 from __future__ import annotations
@@ -50,15 +53,10 @@ def _part_offsets(hn_type: HNType) -> np.ndarray:
     return np.vstack([np.zeros(len(hn_type[0]), dtype=int), np.cumsum(hn_type, axis=0)])
 
 
-@dataclass
-class CriticalType:
-    """Clusters ordered by increasing eigenvalue, i.e. strictly decreasing
-    slope; bases[s][l] is an orthonormal basis (columns) of the s-th
-    eigenspace at vertex l."""
-
-    hn_type: HNType
-    lambdas: tuple[float, ...]
-    bases: tuple[tuple[np.ndarray, ...], ...]
+def _part_labels(hn_type: HNType) -> list[np.ndarray]:
+    """Per vertex, the part index of each coordinate of the same layout."""
+    parts = np.array(hn_type)
+    return [np.repeat(np.arange(len(parts)), parts[:, l]) for l in range(parts.shape[1])]
 
 
 @dataclass
@@ -70,25 +68,29 @@ class Filtration:
     hn_type: HNType
     bases: tuple[tuple[np.ndarray, ...], ...]
 
-    def n_levels(self) -> int:
-        return len(self.hn_type)
-
-    def projection(self, level: int, vertex: int) -> np.ndarray:
-        """Orthogonal projection onto the first `level` steps at `vertex`."""
-        cols = [self.bases[s][vertex] for s in range(level)]
-        d = self.bases[0][vertex].shape[0]
-        if not cols:
-            return np.zeros((d, d), dtype=complex)
-        u = np.concatenate(cols, axis=1)
-        return u @ u.conj().T
-
     def full_basis(self, vertex: int) -> np.ndarray:
-        return np.concatenate([self.bases[s][vertex] for s in range(self.n_levels())], axis=1)
+        return np.concatenate([b[vertex] for b in self.bases], axis=1)
+
+    def coordinates(self, q: Quiver, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Edge matrices written in the level bases: U_in^H m U_out per edge,
+        with U = full_basis, so the block of rows in part s and columns in
+        part t maps level t into level s."""
+        U = [self.full_basis(l) for l in range(q.n_vertices)]
+        edges = q.edge_indices()
+        return [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, mats)]
+
+    def from_coordinates(self, q: Quiver, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Inverse of coordinates: U_in r U_out^H per edge."""
+        U = [self.full_basis(l) for l in range(q.n_vertices)]
+        edges = q.edge_indices()
+        return [U[in_i] @ r @ U[out_i].conj().T for (out_i, in_i), r in zip(edges, mats)]
 
     @classmethod
     def coordinate(cls, dims: Sequence[int], hn_type: HNType) -> "Filtration":
         """The standard coordinate filtration: consecutive coordinate blocks."""
         off = _part_offsets(hn_type)
+        if tuple(off[-1]) != tuple(dims):
+            raise QuiverError(f"parts of hn_type {hn_type} do not sum to dims {tuple(dims)}")
         levels = tuple(
             tuple(
                 np.eye(d, dtype=complex)[:, off[s, l] : off[s + 1, l]]
@@ -97,6 +99,16 @@ class Filtration:
             for s in range(len(hn_type))
         )
         return cls(hn_type, levels)
+
+
+@dataclass
+class CriticalType(Filtration):
+    """The critical filtration of a critical point: the eigenspaces of its
+    shifted moment, ordered by increasing eigenvalue lambdas[s] (strictly
+    decreasing slope); bases[s][l] is an orthonormal basis (columns) of the
+    s-th eigenspace at vertex l."""
+
+    lambdas: tuple[float, ...]
 
 
 def classify_critical(
@@ -142,19 +154,12 @@ def classify_critical(
             )
     centers = [float(np.mean(c)) for c in clusters]
 
-    n_v = q.n_vertices
-    bases: list[list[np.ndarray]] = []
-    hn_type = []
-    for s, center in enumerate(centers):
-        per_vertex = []
-        part = []
-        for l in range(n_v):
-            sel = np.abs(eigs[l] - center) < cluster_tol * len(clusters[s])
-            per_vertex.append(vecs[l][:, sel])
-            part.append(int(np.count_nonzero(sel)))
-        bases.append(per_vertex)
-        hn_type.append(tuple(part))
-    hn_type = tuple(hn_type)
+    bases, parts = [], []
+    for cluster, center in zip(clusters, centers):
+        sel = [np.abs(w - center) < cluster_tol * len(cluster) for w in eigs]
+        bases.append(tuple(u[:, m] for u, m in zip(vecs, sel)))
+        parts.append(tuple(int(np.count_nonzero(m)) for m in sel))
+    hn_type = tuple(parts)
 
     for center, part in zip(centers, hn_type):
         mu = float(slope(q, part, a))
@@ -164,43 +169,38 @@ def classify_critical(
                 "not a critical point of this functional"
             )
 
-    # off-diagonal blocks of every edge matrix in the eigenbasis must vanish
+    crit = CriticalType(hn_type, tuple(bases), tuple(centers))
+    # off-diagonal blocks of every edge matrix in the eigenbasis must vanish:
+    # the squared norm of block (s, t) is summed at label s * L + t
     L = len(hn_type)
-    for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-        for s in range(L):
-            for t in range(L):
-                if s == t:
-                    continue
-                block = bases[s][in_i].conj().T @ m @ bases[t][out_i]
-                if block.size and np.linalg.norm(block) >= cluster_tol:
-                    raise ClassificationError(
-                        "edge matrix has a non-vanishing off-diagonal block"
-                    )
-    return CriticalType(
-        hn_type=hn_type,
-        lambdas=tuple(centers),
-        bases=tuple(tuple(b) for b in bases),
-    )
+    lab = _part_labels(hn_type)
+    off_diag = ~np.eye(L, dtype=bool).ravel()
+    for (out_i, in_i), r in zip(q.edge_indices(), crit.coordinates(q, A.mats)):
+        block = (lab[in_i][:, None] * L + lab[out_i][None, :]).ravel()
+        sq = np.bincount(block, weights=np.abs(r.ravel()) ** 2, minlength=L * L)
+        if np.any(np.sqrt(sq[off_diag]) >= cluster_tol):
+            raise ClassificationError("edge matrix has a non-vanishing off-diagonal block")
+    return crit
 
 
 def refine_critical(
     q: Quiver,
     A: Representation,
     a: StabilityParam,
-    crit: CriticalType,
+    filt: Filtration,
     cfg: FlowConfig = FlowConfig(),
 ) -> Representation:
     """Polish a near-critical representation into a genuine critical point of
-    its type: rotate into the eigenbasis, drop the off-diagonal residue, and
-    flow each diagonal block to the zero level of its slope-shifted
-    functional (those flows have stable limits, so they converge fully)."""
+    the filtration's type: rotate into the level bases, drop the off-diagonal
+    residue, and flow each diagonal block to the zero level of its
+    slope-shifted functional (those flows have stable limits, so they
+    converge fully). Raises FlowError when a block flow does not converge or
+    stops above the zero level."""
     edges = q.edge_indices()
-    U = [np.concatenate([crit.bases[s][l] for s in range(len(crit.hn_type))], axis=1)
-         for l in range(q.n_vertices)]
-    rot = [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, A.mats)]
-    off = _part_offsets(crit.hn_type)
+    rot = filt.coordinates(q, A.mats)
+    off = _part_offsets(filt.hn_type)
     diag = []
-    for s, part in enumerate(crit.hn_type):
+    for s, part in enumerate(filt.hn_type):
         mats = [
             r[off[s, in_i] : off[s + 1, in_i], off[s, out_i] : off[s + 1, out_i]]
             for (out_i, in_i), r in zip(edges, rot)
@@ -209,12 +209,11 @@ def refine_critical(
         res = integrate_flow(q, Representation(q, part, mats), a_s, cfg)
         if not res.converged:
             raise FlowError("diagonal block refinement did not converge")
+        if res.final_f > 1e-12:
+            raise FlowError(f"diagonal block of dimension {part} did not reach the zero level")
         diag.append(res.final.mats)
-    out_mats = [
-        U[in_i] @ r @ U[out_i].conj().T
-        for (out_i, in_i), r in zip(edges, _assemble_blocks(q, crit.hn_type, diag))
-    ]
-    return Representation(q, A.dims, out_mats)
+    out = filt.from_coordinates(q, _assemble_blocks(q, filt.hn_type, diag))
+    return Representation(q, A.dims, out)
 
 
 def critical_of_flow(
@@ -407,22 +406,12 @@ def make_critical_point(
     cfg: FlowConfig = FlowConfig(),
     max_attempts: int = 30,
 ) -> tuple[Representation, Filtration]:
-    """Numerically critical representation of the given type: block-diagonal
-    with each block flowed onto the zero level of its slope-shifted
-    functional."""
-    dims = tuple(sum(col) for col in zip(*hn_type))
-    check_hn_type(q, dims, a, hn_type)
-    rng = np.random.default_rng(seed)
-    diag = []
-    for part in hn_type:
-        a_s = shifted_param(q, part, a)
-        B = sample_semistable(q, part, a_s, rng, cfg, max_attempts)
-        res = integrate_flow(q, B, a_s, cfg)
-        if not res.converged or res.final_f > 1e-12:
-            raise ConstructionError(f"block of dimension {part} did not reach the zero level")
-        diag.append(res.final.mats)
-    A = Representation(q, dims, _assemble_blocks(q, hn_type, diag))
-    return A, Filtration.coordinate(dims, hn_type)
+    """Numerically critical representation of the given type: the graded
+    object of the ground-truth instance make_hn_example builds from `seed`,
+    refined onto the critical set (each diagonal block flowed onto the zero
+    level of its slope-shifted functional)."""
+    A, filt = make_hn_example(q, hn_type, a, seed, cfg=cfg, max_attempts=max_attempts)
+    return refine_critical(q, graded_object(q, A, filt), a, filt, cfg), filt
 
 
 def graded_object(
@@ -433,21 +422,22 @@ def graded_object(
 ) -> Representation:
     """Block-diagonal representation of the successive filtration quotients,
     written in the filtration's orthonormal bases. Raises if the filtration is
-    not invariant under A."""
-    L = filt.n_levels()
-    for level in range(1, L):
-        for (out_i, in_i), m in zip(q.edge_indices(), A.mats):
-            p_in = filt.projection(level, in_i)
-            p_out = filt.projection(level, out_i)
-            resid = (np.eye(p_in.shape[0]) - p_in) @ m @ p_out
+    not invariant under A: at each level, the block mapping the level into
+    the coordinates above it must vanish."""
+    off = _part_offsets(filt.hn_type)
+    lab = _part_labels(filt.hn_type)
+    edges = q.edge_indices()
+    rot = filt.coordinates(q, A.mats)
+    for level in range(1, len(filt.hn_type)):
+        for (out_i, in_i), r in zip(edges, rot):
+            resid = r[off[level, in_i] :, : off[level, out_i]]
             if resid.size and np.linalg.norm(resid) >= invariance_tol:
                 raise QuiverError("filtration is not invariant under the representation")
-    diag = [
-        [filt.bases[s][in_i].conj().T @ m @ filt.bases[s][out_i]
-         for (out_i, in_i), m in zip(q.edge_indices(), A.mats)]
-        for s in range(L)
+    mats = [
+        np.where(lab[in_i][:, None] == lab[out_i][None, :], r, 0)
+        for (out_i, in_i), r in zip(edges, rot)
     ]
-    return Representation(q, A.dims, _assemble_blocks(q, filt.hn_type, diag))
+    return Representation(q, A.dims, mats)
 
 
 @dataclass
@@ -609,11 +599,7 @@ def tangent_decomposition(
     if grad_norm(q, A, a) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
     # work in the filtration's orthonormal coordinates
-    U = [filt.full_basis(l) for l in range(q.n_vertices)]
-    edges = q.edge_indices()
-    Af = A.with_mats(
-        [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, A.mats)]
-    )
+    Af = A.with_mats(filt.coordinates(q, A.mats))
     # complex matrix of rho^C: one column per gauge basis element
     M, _ = _intertwiner_matrix(q, Af, Af)
     Ufull, s, _ = np.linalg.svd(M, full_matrices=True)
@@ -623,15 +609,14 @@ def tangent_decomposition(
     N = Ufull[:, int(np.sum(s > cutoff)) :]
 
     # lower-triangular coordinate mask: row block strictly below column block
-    parts = np.array(filt.hn_type)
-    lab = [np.repeat(np.arange(len(parts)), parts[:, l]) for l in range(q.n_vertices)]
-    mask = [(lab[in_i][:, None] > lab[out_i][None, :]).ravel() for out_i, in_i in edges]
+    lab = _part_labels(filt.hn_type)
+    mask = [
+        (lab[in_i][:, None] > lab[out_i][None, :]).ravel() for out_i, in_i in q.edge_indices()
+    ]
     flat = np.concatenate(mask) if mask else np.zeros(0, dtype=bool)
-    p = int(np.count_nonzero(flat))
-    if p == 0 or N.shape[1] == 0:
+    if not flat.any() or N.shape[1] == 0:
         return 0
-    P = np.eye(M.shape[0], dtype=complex)[:, flat]
-    angles = np.linalg.svd(N.conj().T @ P, compute_uv=False)
+    angles = np.linalg.svd(N[flat].conj().T, compute_uv=False)
     near_one = int(np.sum(angles > 1 - 1e-6))
     if np.any((angles > 1e-3) & (angles < 1 - 1e-3)):
         raise RankAmbiguityError("ambiguous principal angle between kernel and LT subspace")

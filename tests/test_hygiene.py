@@ -1,9 +1,13 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quiverflow"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quiverflow"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -26,3 +30,15 @@ def test_no_unused_imports():
     assert modules
     unused = [u for p in modules for u in unused_imports(p)]
     assert unused == []
+
+
+def test_traced_names_exist():
+    # run_path executes the tracer's source without writing bytecode beside it
+    traced = runpy.run_path(str(ROOT / "qfbench" / "tracing.py"))["TRACED"]
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"quiverflow.{module}"), name)
+    ]
+    assert missing == []

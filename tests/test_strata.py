@@ -9,6 +9,7 @@ from quiverflow import (
     Filtration,
     LieElement,
     Quiver,
+    QuiverError,
     Representation,
     SlopeMismatchError,
     StabilityParam,
@@ -152,12 +153,40 @@ def test_graded_object_split_filtration():
         assert np.allclose(m1, m2, atol=1e-12)
 
 
+def test_classify_rejects_offdiagonal_block():
+    q, v, a = star21()
+    t = ((1, 1), (1, 0))
+    A, _ = make_critical_point(q, t, a, seed=0)
+
+    def bumped(eps):
+        # the first loop's lower off-diagonal entry maps part 0 into part 1
+        mats = [m.copy() for m in A.mats]
+        mats[0][1, 0] += eps
+        return A.with_mats(mats)
+
+    with pytest.raises(ClassificationError, match="off-diagonal block"):
+        classify_critical(q, bumped(1e-3), a, grad_tol=1)
+    assert classify_critical(q, bumped(1e-5), a, grad_tol=1).hn_type == t
+
+
 def test_graded_object_rejects_noninvariant():
     q, v, a = star21()
     A = Representation.random(q, v, np.random.default_rng(5))
     filt = Filtration.coordinate(v, ((1, 1), (1, 0)))
-    with pytest.raises(Exception):
+    with pytest.raises(QuiverError):
         graded_object(q, A, filt)
+    # on A3 1 -> 2 -> 3 the first step (vertex 1) is invariant, the second
+    # (vertices 1, 2) is not: edge 2 -> 3 leaves it
+    q3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    A3 = Representation(q3, (1, 1, 1), [np.zeros((1, 1)), np.ones((1, 1))])
+    filt3 = Filtration.coordinate((1, 1, 1), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(QuiverError):
+        graded_object(q3, A3, filt3)
+
+
+def test_coordinate_filtration_rejects_mismatched_type():
+    with pytest.raises(QuiverError, match=r"\(\(1, 0\), \(0, 1\)\).*\(2, 1\)"):
+        Filtration.coordinate((2, 1), ((1, 0), (0, 1)))
 
 
 def test_hom_space_a2():
