@@ -13,6 +13,7 @@ from .quiver import (
     codimension,
     degree,
     enumerate_hn_types,
+    euler_form,
     rank,
     shifted_param,
     slope,
@@ -72,6 +73,7 @@ from .strata import (
     verify_graded_limit,
 )
 from .series import (
+    SeriesInvariantError,
     TruncatedSeries,
     poincare_BG,
     poincare_semistable,

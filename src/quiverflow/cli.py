@@ -16,9 +16,10 @@ the flow did not converge and left no usable dip) and "fallback_reason". It
 is written only on request, so the other outputs stay byte-deterministic.
 
 All randomness flows from a single --seed through numpy.random.default_rng.
-Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity), 2 input
-validation. Errors are emitted as one JSON object on stderr. File writes are
-atomic (write to a temp file in the target directory, then rename).
+Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity, a failed
+internal invariant), 2 input validation. Errors are emitted as one JSON object
+on stderr. File writes are atomic (write to a temp file in the target
+directory, then rename).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .quiver import (
     StabilityParam,
     codimension,
     enumerate_hn_types,
+    shifted_param,
     slope,
 )
 from .repspace import (
@@ -52,7 +54,7 @@ from .repspace import (
     finite_difference_check,
     grad_norm,
 )
-from .series import poincare_semistable
+from .series import SeriesInvariantError, poincare_semistable
 from .strata import ClassificationError, RankAmbiguityError, critical_of_flow
 
 
@@ -217,9 +219,19 @@ def cmd_flow(args) -> int:
 
 def cmd_strata(args) -> int:
     q, dims, a = load_quiver_file(args.quiver)
+    memo: dict = {}
+
+    def empty(part) -> bool:
+        # the constant term of P_ss is 1 on a nonempty semistable locus, 0 on
+        # an empty one; a stratum is empty when some part's locus is
+        p = poincare_semistable(q, part, shifted_param(q, part, a), 0, _memo=memo)
+        return p.coeffs[0] == 0
+
     out = []
     for t in enumerate_hn_types(q, dims, a):
         if args.max_length is not None and len(t) > args.max_length:
+            continue
+        if any(empty(part) for part in t):
             continue
         out.append(
             {
@@ -350,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("strata", help="enumerate HN types with slopes and codimensions")
+    p = sub.add_parser(
+        "strata", help="enumerate the nonempty HN strata with slopes and codimensions"
+    )
     p.add_argument("--quiver", required=True)
     p.add_argument("--max-length", type=int)
     p.add_argument("--out", default="-")
@@ -392,7 +406,9 @@ def main(argv=None) -> int:
     except (InputError, QuiverError) as e:
         name = "trace_free_violation" if "trace_free_violation" in str(e) else "input_error"
         _fail(2, name, str(e))
-    except (FlowError, ClassificationError, RankAmbiguityError, LevelError) as e:
+    except (
+        FlowError, ClassificationError, RankAmbiguityError, LevelError, SeriesInvariantError
+    ) as e:
         _fail(1, type(e).__name__, str(e))
 
 

@@ -37,6 +37,7 @@ class Quiver:
             if s not in index or t not in index:
                 raise QuiverError(f"edge ({s}, {t}) has an undeclared endpoint")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_edge_indices", tuple((index[s], index[t]) for s, t in self.edges))
 
     @property
     def n_vertices(self) -> int:
@@ -47,7 +48,7 @@ class Quiver:
 
     def edge_indices(self) -> list[tuple[int, int]]:
         """Edges as (out_index, in_index) pairs."""
-        return [(self._index[s], self._index[t]) for s, t in self.edges]
+        return list(self._edge_indices)
 
     def check_dims(self, v: Sequence[int]) -> DimVector:
         v = tuple(int(x) for x in v)
@@ -144,8 +145,12 @@ def enumerate_hn_types(
     """All ordered compositions of v into nonzero parts with strictly
     decreasing slopes, in lexicographic order on the flattened tuple.
 
-    Slope-feasible types whose stratum is empty are not pruned here; emptiness
-    resolves downstream through the Poincare recursion.
+    Slope-feasible types whose stratum is empty are not pruned here. Such a
+    type has a part with an empty semistable locus, i.e. a zero
+    `poincare_semistable` factor, and its `codimension` may be negative and
+    raise: callers that read codimensions (`reconstruct_BG_check`, the CLI
+    `strata` command) skip it by that test first. `poincare_semistable`
+    sums over first parts and does not enumerate types.
     """
     v = q.check_dims(v)
 
@@ -170,28 +175,20 @@ def enumerate_hn_types(
     return out
 
 
+def euler_form(q: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
+    """Euler form <x, y> = sum_l x_l y_l - sum_{edges a} x_{out(a)} y_{in(a)}."""
+    return sum(p * r for p, r in zip(x, y)) - sum(x[s] * y[t] for s, t in q._edge_indices)
+
+
 def codimension(q: Quiver, t: HNType) -> int:
     """Complex codimension of the HN stratum of type t:
 
-        dim Rep^LT - dim g_C^LT
-      = sum_{edges a} sum_{j<k} (v_j)_{out(a)} (v_k)_{in(a)}
-        - sum_{vertices l} sum_{j<k} (v_j)_l (v_k)_l
+        dim Rep^LT - dim g_C^LT = -sum_{j<k} <v_j, v_k>
 
     (blocks below the diagonal map higher-slope summands to lower-slope ones).
     A negative value signals an invalid type for this quiver and raises.
     """
-    L = len(t)
-    rep_lt = 0
-    for out_i, in_i in q.edge_indices():
-        for j in range(L):
-            for k in range(j + 1, L):
-                rep_lt += t[j][out_i] * t[k][in_i]
-    gauge_lt = 0
-    for l in range(q.n_vertices):
-        for j in range(L):
-            for k in range(j + 1, L):
-                gauge_lt += t[j][l] * t[k][l]
-    d = rep_lt - gauge_lt
+    d = -sum(euler_form(q, t[j], t[k]) for j in range(len(t)) for k in range(j + 1, len(t)))
     if d < 0:
         raise QuiverError(f"negative codimension {d}: invalid HN type for this quiver")
     return d

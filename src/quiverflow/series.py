@@ -1,6 +1,14 @@
 """Truncated integer power series in t and the recursive formula for the
 equivariant Poincare series of the semistable locus.
 
+The HN stratification is equivariantly perfect, so P(BG_v) is the sum over HN
+types of t^{2 codim} times the product of the parts' semistable series. The
+codimension -sum_{j<k} <v_j, v_k> splits after the first part, and
+`poincare_semistable` sums over first parts rather than over whole types:
+each sub-dimension vector's slope is computed once per call and no type is
+enumerated. `reconstruct_BG_check` keeps the whole-type sum as an
+independent check of the same identity.
+
 Coefficients are exact Python ints; operations never read beyond the
 truncation degree.
 """
@@ -14,10 +22,13 @@ from .quiver import (
     DimVector,
     Quiver,
     StabilityParam,
+    _sub_vectors,
     codimension,
     enumerate_hn_types,
+    euler_form,
     rank,
     shifted_param,
+    slope,
 )
 
 
@@ -31,10 +42,10 @@ class TruncatedSeries:
     def __init__(self, max_degree: int, coeffs: Sequence[int] = ()):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        c = list(coeffs)[: max_degree + 1]
+        c = list(map(int, coeffs))[: max_degree + 1]
         c += [0] * (max_degree + 1 - len(c))
         object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "coeffs", tuple(int(x) for x in c))
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @classmethod
     def one(cls, max_degree: int) -> "TruncatedSeries":
@@ -45,7 +56,7 @@ class TruncatedSeries:
         return cls(max_degree, [])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.max_degree != other.max_degree:
@@ -71,7 +82,8 @@ class TruncatedSeries:
             if x == 0:
                 continue
             for j, y in enumerate(other.coeffs[: n + 1 - i]):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
         return TruncatedSeries(n, out)
 
     def shift(self, k: int) -> "TruncatedSeries":
@@ -102,6 +114,12 @@ def poincare_BG(v: Sequence[int], max_degree: int) -> TruncatedSeries:
     return s
 
 
+class SeriesInvariantError(RuntimeError):
+    """An internal invariant of the Poincare recursion failed: a term with
+    nonzero factors carries a negative power of t. Valid input never raises
+    it."""
+
+
 def poincare_semistable(
     q: Quiver,
     v: Sequence[int],
@@ -110,43 +128,98 @@ def poincare_semistable(
     _memo: dict | None = None,
 ) -> TruncatedSeries:
     """Equivariant Poincare series of the semistable locus, computed by the
-    Morse-stratification recursion:
+    Morse-stratification recursion summed over the first HN part.
 
-        P_ss(v, a) = P(BG_v) - sum_{types L>=2} t^{2d} prod_i P_ss(v_i, a_i)
+    Over whole types the recursion reads
+
+        P_ss(v) = P(BG_v) - sum_{types L>=2} t^{2 codim} prod_i P_ss(v_i, a_i)
 
     where a_i is the slope-shifted trace-free parameter of the i-th graded
-    piece. Slope-feasible types with empty strata come out as the zero series
-    and self-correct. Memoized on exact (v, a) keys.
+    piece and codim = -sum_{j<k} <v_j, v_k> (`euler_form`). The codimension
+    splits after the first part w, so the types sharing w sum to
+
+        P_ss(v) = P(BG_v) - sum_{0<w<v} t^{-2<w, v-w>} P_ss(w) R(v-w, mu(w))
+        R(u, s) = sum_{0<w<=u, mu(w)<s} t^{-2<w, u-w>} P_ss(w) R(u-w, mu(w))
+        R(0, s) = 1
+
+    R(u, s) is the whole-type sum of t^{2 codim} prod_i P_ss(v_i) over the HN
+    types of u whose first slope is below s. Shifting the parameter leaves
+    every slope comparison unchanged, so the slope of each sub-vector of v is
+    computed once; P_ss is memoized on exact (w, a_w) keys and R on (u, s)
+    within the call.
+
+    A slope-feasible type with an empty stratum has some factor equal to the
+    zero series. A term with a zero factor is skipped whatever its exponent,
+    so empty strata drop out; a negative exponent on a term whose factors are
+    both nonzero raises `SeriesInvariantError`.
     """
     v = q.check_dims(v)
     if rank(v) < 1:
         raise ValueError("rank must be >= 1")
     memo = _memo if _memo is not None else {}
+    a = StabilityParam(a)
+    slopes = {w: slope(q, w, a) for w in _sub_vectors(v) if rank(w)}
+    # slopes enter only through comparisons: replace each by its rank
+    order = {s: i for i, s in enumerate(sorted(set(slopes.values())))}
+    level = {w: order[s] for w, s in slopes.items()}
+    one = TruncatedSeries.one(max_degree)
+    found: dict = {}  # P_ss by sub-vector, so each exact key is hashed once
+    tails: dict = {}
 
-    def rec(w: DimVector, aw: StabilityParam) -> TruncatedSeries:
-        key = (w, aw.values)
-        if key in memo:
-            return memo[key]
-        out = poincare_BG(w, max_degree)
-        for t in enumerate_hn_types(q, w, aw, include_trivial=False):
-            term = TruncatedSeries.one(max_degree)
-            for part in t:
-                term = term * rec(part, shifted_param(q, part, aw))
-            out = out - term.shift(2 * codimension(q, t))
-        memo[key] = out
+    def first_parts(u: DimVector, below: int, whole: bool) -> TruncatedSeries:
+        """Sum over first parts w of u with level < below; w = u only when
+        `whole`."""
+        out = TruncatedSeries.zero(max_degree)
+        for w in _sub_vectors(u):
+            if not rank(w) or level[w] >= below or (w == u and not whole):
+                continue
+            p = ss(w)
+            if p.is_zero():
+                continue
+            rest = tuple(x - y for x, y in zip(u, w))
+            e = -euler_form(q, w, rest)
+            if 2 * e > max_degree:
+                continue
+            r = tail(rest, level[w])
+            if r.is_zero():
+                continue
+            if e < 0:
+                raise SeriesInvariantError(
+                    f"negative exponent {e} on a nonzero term: first part {w} of {u}"
+                )
+            out = out + (p * r).shift(2 * e)
         return out
 
-    return rec(v, StabilityParam(a))
+    def tail(u: DimVector, below: int) -> TruncatedSeries:
+        if not rank(u):
+            return one
+        key = (u, below)
+        if key not in tails:
+            tails[key] = first_parts(u, below, True)
+        return tails[key]
+
+    def ss(w: DimVector) -> TruncatedSeries:
+        if w not in found:
+            key = (w, tuple(x - slopes[w] for x in a.values))
+            if key not in memo:
+                memo[key] = poincare_BG(w, max_degree) - first_parts(w, len(order), False)
+            found[w] = memo[key]
+        return found[w]
+
+    return ss(v)
 
 
 def reconstruct_BG_check(
     q: Quiver, v: Sequence[int], a: StabilityParam, max_degree: int
 ) -> TruncatedSeries:
-    """Residual of the stratification identity
+    """Residual of the stratification identity, summed over whole types
+    independently of the first-part recursion:
 
         P(BG) - [P_ss + sum_{L>=2} t^{2d} prod_i P_ss(v_i, a_i)]
 
-    which must come out identically zero."""
+    which must come out identically zero. A type whose product of P_ss
+    factors is zero has an empty stratum and is skipped before its
+    codimension is read."""
     v = q.check_dims(v)
     memo: dict = {}
     total = poincare_semistable(q, v, a, max_degree, _memo=memo)
@@ -156,5 +229,6 @@ def reconstruct_BG_check(
             term = term * poincare_semistable(
                 q, part, shifted_param(q, part, a), max_degree, _memo=memo
             )
-        total = total + term.shift(2 * codimension(q, t))
+        if not term.is_zero():
+            total = total + term.shift(2 * codimension(q, t))
     return poincare_BG(v, max_degree) - total

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quiverflow import BUILTINS, GaugeElement, Quiver
+
+# every run draws the same examples, and none is replayed from a local
+# example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(params=list(BUILTINS))

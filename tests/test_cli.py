@@ -169,6 +169,42 @@ def test_poincare_command():
     assert doc["coefficients"][:6] == [1, 0, 2, 0, 2, 0]
 
 
+def _write_empty_stratum_triangle(tmp_path):
+    # 1->2, 2->3, 1->3 at v=(2,0,2): the semistable locus and every stratum
+    # but the open one are empty for this parameter
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "vertices": ["1", "2", "3"],
+        "edges": [{"from": "1", "to": "2"}, {"from": "2", "to": "3"}, {"from": "1", "to": "3"}],
+        "dim": {"1": 2, "2": 0, "3": 2},
+        "alpha": {"1": "-1", "2": "0", "3": "1"},
+    }))
+    return str(path)
+
+
+def test_poincare_command_on_empty_semistable_locus(tmp_path):
+    p = run_cli("poincare", "--quiver", _write_empty_stratum_triangle(tmp_path), check=True)
+    assert json.loads(p.stdout)["coefficients"] == [0] * 21
+
+
+def test_strata_command_leaves_out_empty_strata(tmp_path):
+    p = run_cli("strata", "--quiver", _write_empty_stratum_triangle(tmp_path), check=True)
+    doc = json.loads(p.stdout)
+    assert [item["type"] for item in doc] == [[[0, 0, 2], [2, 0, 0]]]
+    assert doc[0]["codimension"] == 0
+
+
+def test_exit_code_1_on_series_invariant_failure(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise quiverflow.SeriesInvariantError("negative exponent -1 on a nonzero term")
+
+    monkeypatch.setattr(cli, "poincare_semistable", broken)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poincare", "--quiver", "a2"])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SeriesInvariantError"
+
+
 def test_sigma_command():
     p = run_cli("sigma", "--quiver", "a2", "--seed", "5", check=True)
     lines = p.stdout.strip().splitlines()

@@ -19,6 +19,7 @@ from quiverflow import (
     codimension,
     degree,
     enumerate_hn_types,
+    euler_form,
     jordan2,
     rank,
     shifted_param,
@@ -173,6 +174,10 @@ def test_codimension_values():
     q, v, a = a2()
     assert codimension(q, ((1, 0), (0, 1))) == 1
     assert codimension(q, ((1, 1),)) == 0
+    # <x, y> is not symmetric: the arrow 1->2 counts only from x_1 to y_2
+    assert euler_form(q, (1, 0), (0, 1)) == -1
+    assert euler_form(q, (0, 1), (1, 0)) == 0
+    assert euler_form(jordan2()[0], (2,), (2,)) == 0
     qs, vs, as_ = star21()
     assert codimension(qs, ((1, 1), (1, 0))) == 2
     assert codimension(qs, ((0, 1), (2, 0))) == 2

@@ -1,12 +1,19 @@
 """Truncated integer series arithmetic and the semistable Poincare series
 recursion, with an independent partition-counting oracle for the
-classifying-space series."""
+classifying-space series and Reineke's resolution as the oracle for the
+semistable series."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reineke import reineke_series
 
 from quiverflow import (
+    Quiver,
+    QuiverError,
+    SeriesInvariantError,
     StabilityParam,
     TruncatedSeries,
     a2,
@@ -14,8 +21,17 @@ from quiverflow import (
     poincare_BG,
     poincare_semistable,
     reconstruct_BG_check,
+    series,
     star21,
 )
+
+KRONECKER3 = Quiver(("1", "2"), (("1", "2"),) * 3)
+TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
+
+
+def _trace_free(v, base):
+    mu = Fraction(sum(Fraction(x) * d for x, d in zip(base, v)), sum(v))
+    return tuple(Fraction(x) - mu for x in base)
 
 
 def test_series_arithmetic():
@@ -113,3 +129,58 @@ def test_ring_axioms(c1, c2, c3):
     assert (x * y).coeffs == (y * x).coeffs
     assert ((x * y) * z).coeffs == (x * (y * z)).coeffs
     assert (x * (y + z)).coeffs == (x * y + x * z).coeffs
+
+
+# slope-feasible types with empty strata: each of these raised "negative
+# codimension" when the recursion read a type's codimension before its factors
+EMPTY_STRATUM_CASES = {
+    "triangle-202": (TRIANGLE, (2, 0, 2), (-1, 0, 1)),
+    "triangle-232": (TRIANGLE, (2, 3, 2), _trace_free((2, 3, 2), (2, -1, -1))),
+    "kronecker3-45": (KRONECKER3, (4, 5), (5, -4)),
+    "kronecker3-55": (KRONECKER3, (5, 5), (5, -5)),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_STRATUM_CASES))
+def test_empty_strata_match_reineke(case):
+    q, v, values = EMPTY_STRATUM_CASES[case]
+    a = StabilityParam.trace_free(q, v, values)
+    s = poincare_semistable(q, v, a, 24)
+    assert s.coeffs == reineke_series(q.edge_indices(), v, values, 24)
+    assert reconstruct_BG_check(q, v, a, 24).is_zero()
+
+
+@st.composite
+def quiver_inputs(draw):
+    """A quiver on 1-3 vertices with up to 4 edges (loops and parallel edges
+    allowed), dims <= 3 and an arbitrary trace-free rational parameter."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    v = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)))
+    base = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    names = tuple(str(i) for i in range(n))
+    q = Quiver(names, tuple((names[s], names[t]) for s, t in edges))
+    return q, v, _trace_free(v, base)
+
+
+@settings(max_examples=60)
+@given(quiver_inputs())
+def test_recursion_matches_reineke(inputs):
+    q, v, values = inputs
+    a = StabilityParam.trace_free(q, v, values)
+    s = poincare_semistable(q, v, a, 12)
+    assert s.coeffs == reineke_series(q.edge_indices(), v, values, 12)
+    assert reconstruct_BG_check(q, v, a, 12).is_zero()
+    # the semistable locus is empty or a connected open subset
+    assert s.coeffs[0] in (0, 1)
+    assert all(c >= 0 for c in s.coeffs)
+
+
+def test_negative_exponent_is_an_invariant_error(monkeypatch):
+    # no quiver gives a nonzero term a negative power of t; force one
+    monkeypatch.setattr(series, "euler_form", lambda q, x, y: 1)
+    q, v, a = a2()
+    with pytest.raises(SeriesInvariantError) as exc:
+        poincare_semistable(q, v, a, 4)
+    assert not isinstance(exc.value, QuiverError)
