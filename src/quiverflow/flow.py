@@ -5,17 +5,19 @@ monotonicity monitor.
 All three flows run on one explicit embedded Dormand-Prince 8(5,3) driver
 (DOP853) with an extra acceptance gate enforcing monotone decrease of f,
 which guarantees the Lyapunov property the convergence theory relies on.
-Each flow is a "system": a function of one flat state vector returning its
-time derivative, f and ||grad f||. The representation part of the state is
-the block embedding of repspace.BlockEmbedding, so one call of
-repspace.moment_kernel (three matrix products, no loop over edges) evaluates
-H, the gradient and f.
+Each flow is a "system": a stage function that writes the time derivative
+of one flat state vector in place, and a measure that returns f and
+||grad f|| at the state of the latest stage. The representation part of the
+state is the block embedding of repspace.BlockEmbedding, so one call of
+repspace.moment_kernel (four matrix products, no loop over edges) evaluates
+2H and the gradient; the paired flow stacks its two members on a leading
+axis, so it too takes one kernel call per stage.
 The pair is first-same-as-last (FSAL): its last stage is evaluated at the
-new point, so that stage is the next step's first stage and also yields f
-and ||grad f|| there. A trial step, accepted or rejected, costs twelve
-system calls, which is twelve kernel calls (24 for the paired flow, whose
-system is two group-flow systems). The step error blends the 5th- and
-3rd-order embedded estimates, as in DOP853.
+new point, so that stage is the next step's first stage, and the measure
+taken there gives f and ||grad f|| at the new point. A trial step, accepted
+or rejected, costs twelve stages, which is twelve stacked kernel calls for
+every flow, and one measure. The step error blends the 5th- and 3rd-order
+embedded estimates, as in DOP853.
 The group flow is co-integrated with the same pair and the same factor-2
 time scale as the gradient flow, so that g(t) . A(0) tracks the flow
 trajectory.
@@ -30,7 +32,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quiver import Quiver, StabilityParam, rank
-from .repspace import BlockEmbedding, GaugeElement, Representation, act, moment_kernel, rep_norm
+from .repspace import (
+    BlockEmbedding,
+    GaugeElement,
+    Representation,
+    act,
+    f_of,
+    moment_kernel,
+    rep_norm,
+)
 
 # Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10, coefficients of dop853.f). Row i of _A holds the weights of
@@ -63,6 +73,8 @@ _A_ROWS = [
      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
 ]
 _A = np.array([row + [0.0] * (12 - len(row)) for row in _A_ROWS])
+# the weights of stage i as views, so a stage does not slice the tableau
+_A_STAGE = [_A[i, :i] for i in range(13)]
 # weights of the 5th- and 3rd-order error estimates over the 13 stages; the
 # step error is their blend h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
 _E = np.array(
@@ -125,7 +137,7 @@ class FlowSample:
 @dataclass
 class FlowStats:
     """Work counters of one integration. Every trial step costs twelve
-    system calls after the first (FSAL), so
+    stages after the first (FSAL), each one stacked kernel call, so
 
         n_rhs == 1 + 12 * (n_accepted + n_rejected_err
                            + n_rejected_monotone + n_nonfinite).
@@ -190,13 +202,17 @@ class _DriverOut:
 def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
     """The adaptive Dormand-Prince 8(5,3) driver shared by every flow.
 
-    A trial step takes twelve system calls into a (13, n) stage array; its
+    A trial step takes twelve stages into a (13, n) stage array and one
+    measure of f and ||grad f|| at its last stage, the new point; its
     error is h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2) with the embedded
     5th- and 3rd-order estimates e5 and e3, against the scale
     atol + rtol * max(||y||, ||y_new||), and the step factor goes with the
     1/8th power of scale / error.
 
-    system(y) returns (dy/dt, f, ||grad f||) at the flat state y.
+    system is a pair (stage, measure). stage(y, out) writes dy/dt at the
+    flat state y into out; measure(k) returns (f, ||grad f||) at the state
+    of the latest stage call, whose dy/dt is k. The driver measures y0 and
+    the FSAL stage of each trial step, the new point, and no other stage.
     on_sample(t, y, f, gnorm) is called on the initial state, every
     sample_stride-th accepted step, and the final state. The first state
     whose running-minimum gradient norm drops below saddle_tol and is later
@@ -206,8 +222,10 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
     y = y0.astype(complex)
     y_norm = _norm(y)
     h = cfg.initial_step
+    stage, measure = system
     K = np.empty((13, y.size), dtype=complex)
-    K[0], fs, g = system(y)
+    stage(y, K[0])
+    fs, g = measure(K[0])
     on_sample(t, y, fs, g)
     run_min = (g, y, t, fs)
     dip = None
@@ -223,8 +241,9 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
         # estimate fails the acceptance test below and the step is halved
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 13):
-                y_new = y + h * (_A[i, :i] @ K[:i])
-                K[i], f_new, g_new = system(y_new)
+                y_new = y + h * (_A_STAGE[i] @ K[:i])
+                stage(y_new, K[i])
+            f_new, g_new = measure(K[12])
             e5, e3 = _E @ K
             n5, n3 = float(np.vdot(e5, e5).real), float(np.vdot(e3, e3).real)
             denom = n5 + 0.01 * n3
@@ -273,30 +292,45 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
 
 def _gradient_system(emb: BlockEmbedding, a: StabilityParam):
     """dA/dt = -grad f on the embedded edges."""
-    shift = emb.shift(a)
+    two_shift = 2.0 * emb.shift(a)
+    two_h = None
 
-    def system(y):
-        _, K, f = moment_kernel(y.reshape(emb.shape), shift)
-        k = K.ravel()
-        return k, f, _norm(k)
+    def stage(y, out):
+        nonlocal two_h
+        two_h, _ = moment_kernel(y.reshape(emb.shape), two_shift, out=out)
 
-    return system
+    def measure(k):
+        return f_of(two_h), _norm(k)
+
+    return stage, measure
 
 
-def _group_system(emb: BlockEmbedding, a: StabilityParam):
+def _group_system(emb: BlockEmbedding, a: StabilityParam, members: int):
     """The gradient flow with the block-diagonal gauge element g appended to
-    the state, dg/dt = 2 H g."""
-    shift = emb.shift(a)
+    the state, dg/dt = 2 H g, for a stack of independent members: the state
+    is `members` rows of (embedded edges, g), and one stacked kernel call
+    evaluates them all. f is the sum over the members and ||grad f|| the
+    largest member's."""
+    two_shift = 2.0 * emb.shift(a)
     n_rep = math.prod(emb.shape)
     n = emb.shape[0]
+    width = n_rep + n * n
+    two_h = None
 
-    def system(y):
-        H, K, f = moment_kernel(y[:n_rep].reshape(emb.shape), shift)
-        k = K.ravel()
-        dg = 2.0 * (H @ y[n_rep:].reshape(n, n))
-        return np.concatenate([k, dg.ravel()]), f, _norm(k)
+    def stage(y, out):
+        nonlocal two_h
+        y, out = y.reshape(members, width), out.reshape(members, width)
+        two_h, _ = moment_kernel(
+            y[:, :n_rep].reshape(members, *emb.shape), two_shift, out=out[:, :n_rep]
+        )
+        np.matmul(two_h, y[:, n_rep:].reshape(members, n, n),
+                  out=out[:, n_rep:].reshape(members, n, n))
 
-    return system
+    def measure(k):
+        k = k.reshape(members, width)
+        return sum(f_of(h) for h in two_h), max(_norm(row[:n_rep]) for row in k)
+
+    return stage, measure
 
 
 def _group_state(emb: BlockEmbedding, A0: Representation) -> np.ndarray:
@@ -381,7 +415,7 @@ def integrate_group_flow(
         samples.append(FlowSample(t=t, f=fs, grad_norm=g))
         gauge_curve.append((t, gb))
 
-    lo = _integrate(_group_system(emb, a), _group_state(emb, A0), cfg, on_sample)
+    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), cfg, on_sample)
     result = _result(lo, to_rep, samples)
     if max_drift > cfg.drift_tol:
         result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
@@ -434,19 +468,14 @@ def paired_flow_sigma(
 ) -> SigmaTrace:
     """Run the group flow jointly from A0 and from g0 . A0, form
     gbar(t) = g2(t) g0 g1(t)^{-1}, and sample sigma(h(t)) with
-    h = gbar^{-1}(gbar*)^{-1}. The two flows share time steps, so the samples
-    are exactly aligned."""
+    h = gbar^{-1}(gbar*)^{-1}. The two flows are the two members of one
+    stacked group system, so they share time steps and the samples are
+    exactly aligned."""
     emb = BlockEmbedding(q, A0.dims)
     n_rep = math.prod(emb.shape)
     n = emb.shape[0]
     half = n_rep + n * n
-    group = _group_system(emb, a)
     total = rank(A0.dims)
-
-    def system(y):
-        k1, f1, g1 = group(y[:half])
-        k2, f2, g2 = group(y[half:])
-        return np.concatenate([k1, k2]), f1 + f2, max(g1, g2)
 
     samples: list[tuple[float, float]] = []
     g1_curve: list[tuple[float, list[np.ndarray]]] = []
@@ -464,7 +493,7 @@ def paired_flow_sigma(
         g2_curve.append((t, g2))
 
     y0 = np.concatenate([_group_state(emb, A0), _group_state(emb, act(g0, A0))])
-    lo = _integrate(system, y0, cfg, on_sample)
+    lo = _integrate(_group_system(emb, a, 2), y0, cfg, on_sample)
     increase = 0.0
     for (_, s1), (_, s2) in zip(samples, samples[1:]):
         increase = max(increase, s2 - s1)

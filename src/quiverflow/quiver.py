@@ -153,6 +153,8 @@ def enumerate_hn_types(
     sums over first parts and does not enumerate types.
     """
     v = q.check_dims(v)
+    # every part is a nonzero sub-vector of v: one slope per sub-vector
+    slopes = {w: slope(q, w, a) for w in _sub_vectors(v) if rank(w)}
 
     def extend(remaining: DimVector, last_slope) -> Iterator[HNType]:
         if rank(remaining) == 0:
@@ -161,7 +163,7 @@ def enumerate_hn_types(
         for w in _sub_vectors(remaining):
             if rank(w) == 0:
                 continue
-            s = slope(q, w, a)
+            s = slopes[w]
             if last_slope is not None and s >= last_slope:
                 continue
             rest = tuple(r - x for r, x in zip(remaining, w))

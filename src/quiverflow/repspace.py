@@ -184,27 +184,45 @@ class BlockEmbedding:
         return np.diag(np.repeat([float(x) for x in a], self.dims))
 
 
-def moment_kernel(T: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray, float]:
-    """H, -grad f and f for the embedded edges T (see BlockEmbedding).
+def moment_kernel(
+    T: np.ndarray, two_shift, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """2H and -grad f for the embedded edges T (see BlockEmbedding), of shape
+    (N, E, N) or a stack (..., N, E, N) of members sharing one layout:
 
-        H = (W* W - V V*) / 2 - shift,  -grad f = 2 (H X - X H),  f = ||H||^2.
+        2H = W* W - V V* - 2 shift,  -grad f = 2H X - X 2H.
+
+    The caller passes 2 shift. Doubling is exact in floating point, so these
+    are bit for bit 2 * ((W* W - V V*) / 2 - shift) and 2 (H X - X H), and
+    f = ||H||^2 is f_of(2H). The work is one conjugate copy of T and four
+    matrix products, each stacked over the members.
 
     Off-block entries of X and H are products of exact zeros, so they stay
     exactly zero: H is block-diagonal with the H_l on its diagonal, and
-    -grad f carries the per-edge gradient at each edge's block. Returns H
-    (N x N), -grad f in the shape of T, and f."""
-    n, e, _ = T.shape
-    V = T.reshape(n, e * n)
-    W = T.reshape(n * e, n)
-    H = 0.5 * (W.conj().T @ W - V @ V.conj().T) - shift
-    K = 2.0 * (H @ V - (W @ H).reshape(n, e * n))
-    return H, K.reshape(T.shape), float(np.vdot(H, H).real)
+    -grad f carries the per-edge gradient at each edge's block. Returns 2H,
+    of shape (..., N, N), and -grad f in the shape of T. Given `out`, a view
+    that reshapes to T's shape without a copy, -grad f is written into it."""
+    *lead, n, e, _ = T.shape
+    V = T.reshape(*lead, n, e * n)
+    W = T.reshape(*lead, n * e, n)
+    Tc = T.conj()
+    H2 = Tc.reshape(*lead, n * e, n).swapaxes(-1, -2) @ W
+    H2 -= V @ Tc.reshape(*lead, n, e * n).swapaxes(-1, -2)
+    H2 -= two_shift
+    K = np.matmul(H2, V, out=None if out is None else out.reshape(V.shape))
+    K -= (W @ H2).reshape(V.shape)
+    return H2, K.reshape(T.shape)
+
+
+def f_of(two_h: np.ndarray) -> float:
+    """f = ||H||^2 from 2H of one member; the factor 1/4 is exact."""
+    return 0.25 * float(np.vdot(two_h, two_h).real)
 
 
 def _evaluate(q: Quiver, A: Representation, shift_by: StabilityParam | None):
     emb = BlockEmbedding(q, A.dims)
-    shift = 0.0 if shift_by is None else emb.shift(shift_by)
-    return emb, moment_kernel(emb.embed(A.mats), shift)
+    two_shift = 0.0 if shift_by is None else 2.0 * emb.shift(shift_by)
+    return emb, moment_kernel(emb.embed(A.mats), two_shift)
 
 
 def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
@@ -212,19 +230,19 @@ def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
 
         Phi_l = (i/2) ( sum_{in(a)=l} A_a A_a* - sum_{out(a)=l} A_a* A_a ).
     """
-    emb, (H, _, _) = _evaluate(q, A, None)
-    return tuple(-1j * b for b in emb.vertex_blocks(H))
+    emb, (H2, _) = _evaluate(q, A, None)
+    return tuple(-1j * (0.5 * b) for b in emb.vertex_blocks(H2))
 
 
 def shifted_moment(q: Quiver, A: Representation, a: StabilityParam) -> ShiftedMoment:
     """H_l = i*Phi_l(A) - a_l*id (Hermitian)."""
-    emb, (H, _, _) = _evaluate(q, A, a)
-    return ShiftedMoment(tuple(emb.vertex_blocks(H)))
+    emb, (H2, _) = _evaluate(q, A, a)
+    return ShiftedMoment(tuple(0.5 * b for b in emb.vertex_blocks(H2)))
 
 
 def f_value(q: Quiver, A: Representation, a: StabilityParam) -> float:
     """f(A) = sum_l ||H_l||_F^2; zero exactly on the shifted level set."""
-    return _evaluate(q, A, a)[1][2]
+    return f_of(_evaluate(q, A, a)[1][0])
 
 
 def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.ndarray]:
@@ -233,7 +251,7 @@ def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.nda
         (-grad f)_a = 2 (H_{in(a)} A_a - A_a H_{out(a)}),
 
     which vanishes exactly at critical points."""
-    emb, (_, K, _) = _evaluate(q, A, a)
+    emb, (_, K) = _evaluate(q, A, a)
     return emb.edge_blocks(K)
 
 

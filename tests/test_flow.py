@@ -23,6 +23,7 @@ from quiverflow import (
     two_filtered_param,
 )
 from quiverflow import flow
+from quiverflow.repspace import BlockEmbedding
 from conftest import random_unitary_gauge
 
 
@@ -190,6 +191,51 @@ def test_paired_flow_sigma_unitary_is_zero():
     g0 = random_unitary_gauge(v, rng)
     tr = paired_flow_sigma(q, A0, g0, a)
     assert max(abs(s) for _, s in tr.samples) < 1e-8
+
+
+def test_paired_flow_members_stay_separate():
+    # g0 = id starts both members of the stacked pair at A0, so they follow
+    # one trajectory and sigma stays at zero. They agree to rounding, not bit
+    # for bit: the driver's stage sums round by position in the state vector.
+    q, v, a = star21()
+    A0 = Representation.random(q, v, np.random.default_rng(9))
+    tr = paired_flow_sigma(q, A0, GaugeElement.identity(v), a, FlowConfig(sample_stride=1))
+    assert tr.converged and len(tr.samples) > 10
+    for (t1, g1), (t2, g2) in zip(tr.g1_curve, tr.g2_curve, strict=True):
+        assert t1 == t2
+        for b1, b2 in zip(g1, g2, strict=True):
+            assert np.allclose(b1, b2, rtol=1e-13, atol=1e-13)
+    assert max(s for _, s in tr.samples) <= 1e-10
+
+
+def test_stacked_group_stage_equals_member_stages():
+    # one stage of the two-member group system writes, bit for bit, what the
+    # one-member system writes for each member: nothing mixes the members
+    rng = np.random.default_rng(10)
+    for make in (jordan2, star21):
+        q, v, a = make()
+        emb = BlockEmbedding(q, v)
+        members = []
+        for _ in range(2):
+            A = Representation.random(q, v, rng)
+            g = np.zeros((emb.shape[0],) * 2, dtype=complex)
+            for s, d in zip(emb.vertex_slices, v):
+                g[s, s] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            members.append(np.concatenate([emb.embed(A.mats).ravel(), g.ravel()]))
+        stage2, measure2 = flow._group_system(emb, a, 2)
+        stage1, measure1 = flow._group_system(emb, a, 1)
+        out2 = np.empty(2 * members[0].size, dtype=complex)
+        stage2(np.concatenate(members), out2)
+        f2, g2 = measure2(out2)
+        fs, gs = [], []
+        for y, half in zip(members, np.split(out2, 2)):
+            out1 = np.empty_like(y)
+            stage1(y, out1)
+            assert np.array_equal(out1, half)
+            f, g = measure1(out1)
+            fs.append(f)
+            gs.append(g)
+        assert f2 == fs[0] + fs[1] and g2 == max(gs)
 
 
 def test_flow_invariance_under_unitary_gauge():

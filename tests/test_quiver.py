@@ -27,6 +27,7 @@ from quiverflow import (
     star21,
     two_filtered_param,
 )
+from quiverflow import quiver as quiver_module
 
 
 def test_quiver_validation():
@@ -124,6 +125,58 @@ def test_enumerate_types_against_oracle(make, v):
     assert keys == sorted(keys)
     for t in got:
         check_hn_type(q, v, a, t)
+
+
+KRONECKER3 = Quiver(("1", "2"), (("1", "2"),) * 3)
+TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
+
+
+def _reference_types(q, v, a):
+    """The HN types of v in enumerate_hn_types' order: a depth-first search
+    over nonzero parts with strictly decreasing slopes, the slopes taken from
+    the degree formula, sorted by the flattened tuple."""
+
+    def mu(w):
+        return sum(Fraction(x) * d for x, d in zip(a, w)) / sum(w)
+
+    def go(remaining, last):
+        if not any(remaining):
+            yield ()
+            return
+        for w in itertools.product(*(range(x + 1) for x in remaining)):
+            if any(w) and (last is None or mu(w) < last):
+                for tail in go(tuple(r - x for r, x in zip(remaining, w)), mu(w)):
+                    yield (w,) + tail
+
+    return sorted(go(v, None), key=lambda t: tuple(itertools.chain.from_iterable(t)))
+
+
+def _enumeration_cases():
+    star = star21()[0]
+    for k in range(1, 7):
+        yield star, (k, 1), two_filtered_param(star, (k, 1), "inf", -1)
+    for v in itertools.product(range(6), range(6)):
+        yield KRONECKER3, v, StabilityParam([v[1], -v[0]])
+    for v in itertools.product(range(3), repeat=3):
+        if any(v):
+            mu = Fraction(2 * v[0] - v[1] - v[2], sum(v))
+            yield TRIANGLE, v, StabilityParam([2 - mu, -1 - mu, -1 - mu])
+
+
+def test_enumerate_hn_types_computes_each_slope_once(monkeypatch):
+    calls = []
+    real_slope = quiver_module.slope
+
+    def counting_slope(q, w, a):
+        calls.append(tuple(w))
+        return real_slope(q, w, a)
+
+    monkeypatch.setattr(quiver_module, "slope", counting_slope)
+    for q, v, a in _enumeration_cases():
+        calls.clear()
+        got = enumerate_hn_types(q, v, a)
+        assert len(calls) <= np.prod([x + 1 for x in v]) - 1, (q.edges, v)
+        assert got == _reference_types(q, v, a), (q.edges, v)
 
 
 def test_enumerate_a2_explicit():

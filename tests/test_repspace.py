@@ -28,7 +28,7 @@ from quiverflow import (
     star21,
 )
 from conftest import random_quiver_with_infty, random_unitary_gauge
-from quiverflow.repspace import BlockEmbedding, moment_kernel
+from quiverflow.repspace import BlockEmbedding, f_of, moment_kernel
 
 
 def test_representation_shapes():
@@ -183,15 +183,44 @@ def test_moment_kernel_matches_per_edge_reference():
         assert grad_norm(q, A, a) == pytest.approx(gn_ref, rel=1e-13)
 
 
+def _stacks(members=3):
+    """Each kernel case as a stack of `members` random representations of its
+    dimension vector, embedded as one (members, N, E, N) array."""
+    rng = np.random.default_rng(12)
+    for q, A, a in _kernel_cases():
+        reps = [A] + [Representation.random(q, A.dims, rng) for _ in range(members - 1)]
+        emb = BlockEmbedding(q, A.dims)
+        yield q, reps, a, emb, np.stack([emb.embed(B.mats) for B in reps])
+
+
 def test_moment_kernel_keeps_off_block_zeros():
     # the flow driver integrates the embedded edges, so every entry outside
-    # an edge block must stay exactly zero
-    for q, A, a in _kernel_cases():
-        emb = BlockEmbedding(q, A.dims)
-        H, K, _ = moment_kernel(emb.embed(A.mats), emb.shift(a))
-        edge_mask = emb.embed([np.ones_like(m) for m in A.mats]) != 0
-        vertex_mask = np.zeros(H.shape, dtype=bool)
+    # an edge block must stay exactly zero, for one member and for a stack
+    for q, reps, a, emb, T in _stacks():
+        edge_mask = emb.embed([np.ones_like(m) for m in reps[0].mats]) != 0
+        vertex_mask = np.zeros((emb.shape[0],) * 2, dtype=bool)
         for s in emb.vertex_slices:
             vertex_mask[s, s] = True
-        assert np.all(K[~edge_mask] == 0)
-        assert np.all(H[~vertex_mask] == 0)
+        for H2, K in (moment_kernel(T[0], 2.0 * emb.shift(a)),
+                      moment_kernel(T, 2.0 * emb.shift(a))):
+            assert np.all(K[..., ~edge_mask] == 0)
+            assert np.all(H2[..., ~vertex_mask] == 0)
+
+
+def test_stacked_moment_kernel_equals_member_calls():
+    # one stacked call is the members' separate calls, bit for bit, and each
+    # member matches the per-edge reference
+    for q, reps, a, emb, T in _stacks():
+        two_shift = 2.0 * emb.shift(a)
+        H2, K = moment_kernel(T, two_shift)
+        out = np.full(T.shape, np.nan, dtype=complex)
+        H2_out, K_out = moment_kernel(T, two_shift, out=out)
+        assert np.array_equal(H2_out, H2) and np.array_equal(out, K)
+        assert out.size == 0 or np.shares_memory(K_out, out)
+        for b, B in enumerate(reps):
+            H2_b, K_b = moment_kernel(T[b], two_shift)
+            assert np.array_equal(H2[b], H2_b) and np.array_equal(K[b], K_b)
+            H_ref, grad_ref, f_ref = _per_edge_reference(q, B, a)
+            assert _rel_err(emb.vertex_blocks(0.5 * H2[b]), H_ref) <= 1e-13
+            assert _rel_err(emb.edge_blocks(K[b]), grad_ref) <= 1e-13
+            assert abs(f_of(H2[b]) - f_ref) <= 1e-13 * f_ref
