@@ -17,7 +17,14 @@ new point, so that stage is the next step's first stage, and the measure
 taken there gives f and ||grad f|| at the new point. A trial step, accepted
 or rejected, costs twelve stages, which is twelve stacked kernel calls for
 every flow, and one measure. The step error blends the 5th- and 3rd-order
-embedded estimates, as in DOP853.
+embedded estimates, as in DOP853. Each stage input is one dot product of the
+step-scaled complex tableau row with the earlier stages, written into a
+preallocated stage-input array.
+Near a critical point the flow is stiff, and the step size is set by the
+stability of the pair rather than by its accuracy. Stages 11 and 12 both sit
+at the new time, so their difference estimates the stiffest rate the step
+damps, and the next step is capped at the edge of the real stability
+interval; as in dop853.f, a step never grows right after a rejection.
 The group flow is co-integrated with the same pair and the same factor-2
 time scale as the gradient flow, so that g(t) . A(0) tracks the flow
 trajectory.
@@ -73,10 +80,12 @@ _A_ROWS = [
      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
 ]
 _A = np.array([row + [0.0] * (12 - len(row)) for row in _A_ROWS])
-# the weights of stage i as views, so a stage does not slice the tableau
-_A_STAGE = [_A[i, :i] for i in range(13)]
-# weights of the 5th- and 3rd-order error estimates over the 13 stages; the
-# step error is their blend h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
+# the stage sums multiply the tableau into the complex stages; stored complex
+# once, so no stage casts a float row
+_A_C = _A.astype(complex)
+# weights of the 5th- and 3rd-order error estimates over the 13 stages,
+# complex like the stages; the step error is their blend
+# h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
 _E = np.array(
     [
         [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
@@ -85,8 +94,14 @@ _E = np.array(
         [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
          1.8915178993145003, -5.801203960010585, -0.4226823213237919,
          -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0],
-    ]
+    ],
+    dtype=complex,
 )
+# the stability cap: the step after an accepted one is at most
+# _STIFF_KAPPA / rho, rho the stiffest rate estimated from stages 11 and 12.
+# On the DOP853 stability function R(-6) = -0.49, and the real stability
+# interval ends near -6.39 (see test_dop853_stiff_cap)
+_STIFF_KAPPA = 6.0
 
 
 class FlowError(RuntimeError):
@@ -144,7 +159,9 @@ class FlowStats:
 
     Rejections are split by reason: error estimate above tolerance, f rising
     past the monotone gate, or a non-finite trial. h_min and h_max range over
-    accepted steps (inf and 0 when there are none)."""
+    accepted steps (inf and 0 when there are none). n_stiff_capped counts the
+    accepted steps whose next step the stability cap bounded below what the
+    error estimate allowed."""
 
     n_rhs: int = 0
     n_accepted: int = 0
@@ -153,6 +170,7 @@ class FlowStats:
     n_nonfinite: int = 0
     h_min: float = math.inf
     h_max: float = 0.0
+    n_stiff_capped: int = 0
 
 
 @dataclass
@@ -202,12 +220,23 @@ class _DriverOut:
 def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
     """The adaptive Dormand-Prince 8(5,3) driver shared by every flow.
 
-    A trial step takes twelve stages into a (13, n) stage array and one
-    measure of f and ||grad f|| at its last stage, the new point; its
-    error is h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2) with the embedded
-    5th- and 3rd-order estimates e5 and e3, against the scale
-    atol + rtol * max(||y||, ||y_new||), and the step factor goes with the
-    1/8th power of scale / error.
+    A trial step of size h sums the stage inputs Y[i] = y + (h A)[i, :i] K[:i]
+    into a (13, n) array, with h A formed once per trial from the complex
+    tableau, takes twelve stages into a (13, n) stage array K and one measure
+    of f and ||grad f|| at its last stage, the new point Y[12]. Its error is
+    h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2) with the embedded 5th- and
+    3rd-order estimates e5 and e3, against the scale
+    atol + rtol * max(||y||, ||Y[12]||), and the step factor goes with the
+    1/8th power of scale / error, clamped to [0.2, 5] after an accepted step.
+
+    Near a critical point the flow is stiff, and past the stability boundary
+    of the pair the error test alone makes the step swing between growth and
+    rejection. Stages 11 and 12 both sit at t + h, so after an accepted step
+    rho = ||K[12] - K[11]|| / ||Y[12] - Y[11]|| estimates the stiffest rate
+    the step damps (Hairer & Wanner, Solving ODEs II, IV.2), and the factor
+    is capped at _STIFF_KAPPA / (h rho), which keeps h rho inside the real
+    stability interval. As in dop853.f, the step that follows a rejection
+    does not grow.
 
     system is a pair (stage, measure). stage(y, out) writes dy/dt at the
     flat state y into out; measure(k) returns (f, ||grad f||) at the state
@@ -224,11 +253,13 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
     h = cfg.initial_step
     stage, measure = system
     K = np.empty((13, y.size), dtype=complex)
+    Y = np.empty_like(K)
     stage(y, K[0])
     fs, g = measure(K[0])
     on_sample(t, y, fs, g)
     run_min = (g, y, t, fs)
     dip = None
+    rejected = False
     while True:
         if g < cfg.grad_tol:
             converged = True
@@ -237,18 +268,20 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
             converged = False
             break
         h = min(h, cfg.max_step, cfg.max_time - t)
+        hA = h * _A_C
         # overflow in a rejected trial step is harmless: a non-finite error
         # estimate fails the acceptance test below and the step is halved
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 13):
-                y_new = y + h * (_A_STAGE[i] @ K[:i])
-                stage(y_new, K[i])
+                np.dot(hA[i, :i], K[:i], out=Y[i])
+                Y[i] += y
+                stage(Y[i], K[i])
             f_new, g_new = measure(K[12])
             e5, e3 = _E @ K
             n5, n3 = float(np.vdot(e5, e5).real), float(np.vdot(e3, e3).real)
             denom = n5 + 0.01 * n3
             err = h * n5 / math.sqrt(denom) if denom else 0.0
-            y_new_norm = _norm(y_new)
+            y_new_norm = _norm(Y[12])
         stats.n_rhs += 12
         scale = cfg.atol + cfg.rtol * max(y_norm, y_new_norm)
         finite = math.isfinite(err) and math.isfinite(f_new)
@@ -256,7 +289,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
             err = math.inf
         if err <= scale and f_new <= fs + _F_MONOTONE_TOL * (1.0 + fs):
             t += h
-            y, y_norm, fs, g = y_new, y_new_norm, f_new, g_new
+            y, y_norm, fs, g = Y[12].copy(), y_new_norm, f_new, g_new
             K[0] = K[12]
             stats.n_accepted += 1
             stats.h_min = min(stats.h_min, h)
@@ -267,10 +300,16 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
                 dip = run_min
             if stats.n_accepted % cfg.sample_stride == 0:
                 on_sample(t, y, fs, g)
-            if err > 0:
-                h *= min(5.0, max(0.2, cfg.safety * (scale / err) ** 0.125))
-            else:
-                h *= 5.0
+            fac = min(5.0, cfg.safety * (scale / err) ** 0.125) if err > 0 else 5.0
+            dk, dy = _norm(K[12] - K[11]), _norm(Y[12] - Y[11])
+            # kappa / (h rho) < fac with rho = dk / dy, safe when dk = 0
+            if _STIFF_KAPPA * dy < fac * h * dk:
+                fac = _STIFF_KAPPA * dy / (h * dk)
+                stats.n_stiff_capped += 1
+            if rejected:
+                fac = min(fac, 1.0)
+                rejected = False
+            h *= max(0.2, fac)
         else:
             if not finite:
                 stats.n_nonfinite += 1
@@ -278,6 +317,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
                 stats.n_rejected_err += 1
             else:
                 stats.n_rejected_monotone += 1
+            rejected = True
             if err <= scale or not finite:
                 h *= 0.5
             else:
@@ -457,6 +497,7 @@ class SigmaTrace:
     g2_curve: list[tuple[float, list[np.ndarray]]]
     max_forward_increase: float
     converged: bool
+    stats: FlowStats
 
 
 def paired_flow_sigma(
@@ -503,4 +544,5 @@ def paired_flow_sigma(
         g2_curve=g2_curve,
         max_forward_increase=increase,
         converged=lo.converged,
+        stats=lo.stats,
     )

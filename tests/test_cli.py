@@ -112,6 +112,7 @@ def test_flow_command_stats_file(tmp_path):
     rejected = doc["n_rejected_err"] + doc["n_rejected_monotone"] + doc["n_nonfinite"]
     assert doc["n_rhs"] == 1 + 12 * (doc["n_accepted"] + rejected)
     assert 0 < doc["h_min"] <= doc["h_max"]
+    assert 0 <= doc["n_stiff_capped"] <= doc["n_accepted"]
     # a start at a critical point takes no step: h_min is written as null
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps(rep_to_doc(Representation.zero(q, v))))

@@ -97,18 +97,63 @@ def test_group_flow_tracks_orbit():
 
 
 def test_flow_stats_fsal_invariant():
-    # first-same-as-last: one system call up front, then twelve per trial step
+    # first-same-as-last: one system call up front, then twelve per trial
+    # step, for the plain, the group and the paired flow alike
     q, v, a = star21()
-    A0 = Representation.random(q, v, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    A0 = Representation.random(q, v, rng)
     plain = integrate_flow(q, A0, a)
     group, _, _ = integrate_group_flow(q, A0, a)
+    paired = paired_flow_sigma(q, A0, random_unitary_gauge(v, rng), a)
     for res in (plain, group):
-        st = res.stats
+        assert res.stats.n_accepted == res.n_steps
+    for st in (plain.stats, group.stats, paired.stats):
         rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
         assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
-        assert st.n_accepted == res.n_steps > 0
-        assert st.n_rejected_err > 0
+        assert st.n_accepted > 0 and st.n_rejected_err > 0
         assert 0 < st.h_min <= st.h_max <= FlowConfig().max_step
+        assert 0 <= st.n_stiff_capped <= st.n_accepted
+
+
+def test_dop853_stiff_cap():
+    # R(z) = 1 + z b^T (I - z A)^{-1} 1 is the pair's stability function;
+    # the cap keeps h rho at kappa, where the stiff mode still decays
+    A, b = flow._A[:12], flow._A[12]
+    kappa = flow._STIFF_KAPPA
+
+    def R(z):
+        return 1.0 + z * b @ np.linalg.solve(np.eye(12) - z * A, np.ones(12))
+
+    assert abs(R(-kappa)) <= 0.5
+    assert all(abs(R(z)) < 1.0 for z in np.linspace(-kappa, 0.0, 601)[:-1])
+
+    # dy/dt = -diag(1, 100) y, f = y^T diag(1, 100) y / 2
+    lam = np.array([1.0, 100.0])
+
+    def stage(y, out):
+        out[:] = -lam * y
+
+    def measure(k):
+        return 0.5 * float(np.sum(np.abs(k) ** 2 / lam)), flow._norm(k)
+
+    ts = []
+    out = flow._integrate((stage, measure), np.array([1.0, 1.0]),
+                          FlowConfig(sample_stride=1),
+                          lambda t, y, f, g: ts.append(t))
+    st = out.stats
+    assert out.converged
+    assert st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite <= 0.1 * st.n_accepted
+    assert st.n_stiff_capped > 0
+    # after the transient (t >= 1) every step sits at the cap, up to the
+    # estimate of rho, and inside the stability interval: |R(-100 h)| < 1.
+    # rho is a Rayleigh quotient of stage differences that still carry some
+    # of the slow mode, so it reads a few percent below 100
+    ts = np.array(ts[:-1])  # the last sample repeats the final state
+    hs = np.diff(ts)[ts[:-1] >= 1.0]
+    assert hs.size > 100
+    assert hs.min() >= 0.9 * kappa / 100
+    assert hs.max() <= 1.07 * kappa / 100
+    assert all(abs(R(-100.0 * h)) < 1.0 for h in hs)
 
 
 def test_dop853_tableau():

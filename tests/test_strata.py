@@ -7,6 +7,7 @@ import pytest
 from quiverflow import (
     ClassificationError,
     Filtration,
+    FlowConfig,
     LieElement,
     Quiver,
     QuiverError,
@@ -305,6 +306,18 @@ def test_flow_to_critical_reports_flyby():
     assert res.dip_state is not None
     assert res.critical_path == "dip"
     assert res.fallback_reason is None
+
+
+def test_stiff_plateau_rejections():
+    # the flow creeps past the saddle on a stiff plateau, where a step
+    # controlled by the error estimate alone swings across the stability
+    # boundary (160 rejected trial steps against 249 accepted ones)
+    q, v, a = star21()
+    A, _ = make_hn_example(q, ((1, 1), (1, 0)), a, seed=3, eta_scale=1.0, require_stable=True)
+    _, crit, res = flow_to_critical(q, A, a, FlowConfig(max_time=30))
+    assert res.converged
+    assert crit.hn_type == ((1, 1), (1, 0)) and res.critical_path == "dip"
+    assert res.stats.n_rejected_err <= 0.25 * res.stats.n_accepted
 
 
 def test_flow_to_critical_records_fallback_reason(monkeypatch):
