@@ -11,6 +11,7 @@ from .quiver import (
     StabilityParam,
     check_hn_type,
     codimension,
+    critical_value,
     degree,
     enumerate_hn_types,
     euler_form,
@@ -42,6 +43,7 @@ from .flow import (
     SigmaTrace,
     StepUnderflowError,
     integrate_flow,
+    integrate_gauge,
     integrate_group_flow,
     paired_flow_sigma,
     sigma,
@@ -53,11 +55,13 @@ from .strata import (
     ConstructionError,
     CriticalType,
     Filtration,
+    GapCertificate,
     GradedLimitReport,
     HomSpace,
     IsoResult,
     RankAmbiguityError,
     SlopeMismatchError,
+    certify_semistable,
     classify_critical,
     flow_to_critical,
     graded_object,
@@ -68,6 +72,7 @@ from .strata import (
     make_critical_point,
     make_hn_example,
     sample_semistable,
+    semistable_gap,
     slope_generic,
     tangent_decomposition,
     verify_graded_limit,

@@ -217,7 +217,9 @@ class _DriverOut:
     dip: tuple | None
 
 
-def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
+def _integrate(
+    system, y0: np.ndarray, cfg: FlowConfig, on_sample, stop_below: float | None = None
+) -> _DriverOut:
     """The adaptive Dormand-Prince 8(5,3) driver shared by every flow.
 
     A trial step of size h sums the stage inputs Y[i] = y + (h A)[i, :i] K[:i]
@@ -245,7 +247,12 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
     on_sample(t, y, f, gnorm) is called on the initial state, every
     sample_stride-th accepted step, and the final state. The first state
     whose running-minimum gradient norm drops below saddle_tol and is later
-    exceeded tenfold gets locked as the dip record (saddle flyby)."""
+    exceeded tenfold gets locked as the dip record (saddle flyby).
+
+    The flow stops at the first state, the initial one or an accepted one,
+    whose f lies below stop_below (never, by default); converged then stays
+    False unless ||grad f|| is below grad_tol there too."""
+    stop_below = -math.inf if stop_below is None else stop_below
     stats = FlowStats(n_rhs=1)
     t = 0.0
     y = y0.astype(complex)
@@ -264,7 +271,7 @@ def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut
         if g < cfg.grad_tol:
             converged = True
             break
-        if t >= cfg.max_time:
+        if fs < stop_below or t >= cfg.max_time:
             converged = False
             break
         h = min(h, cfg.max_step, cfg.max_time - t)
@@ -400,10 +407,13 @@ def integrate_flow(
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
     extra: Callable[[Representation], float] | None = None,
+    *,
+    stop_below: float | None = None,
 ) -> FlowResult:
-    """Integrate dA/dt = -grad f from A0 until ||grad f|| < grad_tol or
-    max_time. `extra`, if given, is evaluated on each sample and recorded in
-    the phi_c_norm field of the trajectory."""
+    """Integrate dA/dt = -grad f from A0 until ||grad f|| < grad_tol,
+    max_time, or, when stop_below is given, the first state with
+    f < stop_below. `extra`, if given, is evaluated on each sample and
+    recorded in the phi_c_norm field of the trajectory."""
     emb = BlockEmbedding(q, A0.dims)
 
     def to_rep(y):
@@ -417,22 +427,27 @@ def integrate_flow(
             s.phi_c_norm = extra(to_rep(y))
         samples.append(s)
 
-    lo = _integrate(_gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample)
+    lo = _integrate(
+        _gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample, stop_below
+    )
     return _result(lo, to_rep, samples)
 
 
-def integrate_group_flow(
+def integrate_gauge(
     q: Quiver,
     A0: Representation,
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
-) -> tuple[FlowResult, GaugeElement, list[tuple[float, list[np.ndarray]]]]:
+    *,
+    stop_below: float | None = None,
+    on_sample: Callable[[float, Representation, list[np.ndarray]], None] | None = None,
+) -> tuple[FlowResult, list[np.ndarray]]:
     """Co-integrate the gradient flow A(t) and the gauge curve g(t) solving
-    dg/dt g^{-1} = 2 H(A(t)), g(0) = id.
-
-    Returns the flow result, the final gauge element, and the sampled gauge
-    curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
-    exceeds drift_tol at any sample."""
+    dg/dt g^{-1} = 2 H(A(t)), g(0) = id; stop_below stops the flow as in
+    integrate_flow. Returns the flow result and the per-vertex blocks of the
+    final g, unchecked: on an unstable start g diverges, and its blocks may
+    be numerically singular. on_sample(t, A, g_blocks), if given, sees every
+    sample."""
     emb = BlockEmbedding(q, A0.dims)
     n_rep = math.prod(emb.shape)
     n = emb.shape[0]
@@ -444,22 +459,40 @@ def integrate_group_flow(
         return emb.vertex_blocks(y[n_rep:].reshape(n, n))
 
     samples: list[FlowSample] = []
+
+    def sample(t, y, fs, g):
+        samples.append(FlowSample(t=t, f=fs, grad_norm=g))
+        if on_sample is not None:
+            on_sample(t, to_rep(y), gauge_blocks(y))
+
+    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), cfg, sample, stop_below)
+    return _result(lo, to_rep, samples), gauge_blocks(lo.y)
+
+
+def integrate_group_flow(
+    q: Quiver,
+    A0: Representation,
+    a: StabilityParam,
+    cfg: FlowConfig = FlowConfig(),
+) -> tuple[FlowResult, GaugeElement, list[tuple[float, list[np.ndarray]]]]:
+    """The co-integrated flow of integrate_gauge, with g checked.
+
+    Returns the flow result, the final gauge element, and the sampled gauge
+    curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
+    exceeds drift_tol at any sample."""
     gauge_curve: list[tuple[float, list[np.ndarray]]] = []
     max_drift = 0.0
 
-    def on_sample(t, y, fs, g):
+    def on_sample(t, A, gb):
         nonlocal max_drift
-        A, gb = to_rep(y), gauge_blocks(y)
         drift = rep_norm([m1 - m2 for m1, m2 in zip(act(GaugeElement(gb), A0).mats, A.mats)])
         max_drift = max(max_drift, drift)
-        samples.append(FlowSample(t=t, f=fs, grad_norm=g))
         gauge_curve.append((t, gb))
 
-    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), cfg, on_sample)
-    result = _result(lo, to_rep, samples)
+    result, gb = integrate_gauge(q, A0, a, cfg, on_sample=on_sample)
     if max_drift > cfg.drift_tol:
         result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
-    return result, GaugeElement(gauge_blocks(lo.y)), gauge_curve
+    return result, GaugeElement(gb), gauge_curve
 
 
 def sigma(h_blocks: Sequence[np.ndarray], total_rank: int) -> float:

@@ -177,6 +177,12 @@ def enumerate_hn_types(
     return out
 
 
+def critical_value(q: Quiver, t: HNType, a: StabilityParam) -> Fraction:
+    """Value of f = ||Phi - alpha||^2 on the critical set of type t: the sum
+    over the parts of rank(part) * slope(part)^2 (exact)."""
+    return sum((rank(p) * slope(q, p, a) ** 2 for p in t), Fraction(0))
+
+
 def euler_form(q: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
     """Euler form <x, y> = sum_l x_l y_l - sum_{edges a} x_{out(a)} y_{in(a)}."""
     return sum(p * r for p, r in zip(x, y)) - sum(x[s] * y[t] for s, t in q._edge_indices)

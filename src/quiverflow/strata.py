@@ -2,30 +2,36 @@
 HN type with orthonormal level bases) and its `coordinates`, the one change
 of basis used here. A `CriticalType` is a critical filtration plus its
 eigenvalues, and a constructed critical point is a refined graded object.
-Also flow-based HN typing, intertwiner (Hom) spaces, isomorphism
-certificates and the numeric tangent-space codimension check.
+Also flow-based HN typing, semistability certified at the critical-value gap
+(the sampler behind constructed instances), intertwiner (Hom) spaces,
+isomorphism certificates and the numeric tangent-space codimension check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, FlowResult, integrate_flow
+from .flow import FlowConfig, FlowError, FlowResult, integrate_flow, integrate_gauge
 from .quiver import (
     HNType,
     Quiver,
     QuiverError,
     StabilityParam,
     check_hn_type,
+    critical_value,
+    enumerate_hn_types,
     rank,
     shifted_param,
     slope,
     _sub_vectors,
 )
 from .repspace import Representation, f_value, grad_norm, shifted_moment
+from .series import poincare_semistable
 
 
 class ClassificationError(RuntimeError):
@@ -295,6 +301,99 @@ def slope_generic(q: Quiver, v: Sequence[int], a: StabilityParam) -> bool:
     return True
 
 
+def semistable_gap(q: Quiver, v: Sequence[int], a: StabilityParam) -> Fraction | None:
+    """The critical-value gap of (q, v, a): the smallest critical value of f
+    over the non-trivial HN types of v, or None when v has none (then every
+    representation of v is semistable). Every non-trivial type has a nonzero
+    slope, so the gap is positive, while a semistable representation flows
+    to f = 0 (a is trace-free on v)."""
+    types = enumerate_hn_types(q, v, a, include_trivial=False)
+    return min(critical_value(q, t, a) for t in types) if types else None
+
+
+def _require_nonempty(q: Quiver, v: Sequence[int], a: StabilityParam) -> None:
+    """Raise ConstructionError when the semistable locus of v is empty, which
+    the exact series tells by a zero constant term (Reineke 2003)."""
+    if poincare_semistable(q, v, a, 0).coeffs[0] == 0:
+        raise ConstructionError(
+            f"the semistable locus of v={tuple(v)} is empty: the exact series "
+            "poincare_semistable has constant term 0"
+        )
+
+
+# The certificate's witness is a gauge element g with f(g . B) below the gap.
+# Computed g . B carries a relative rounding error of about n eps cond(g)^2,
+# and f, quartic in B, four times that: a witness is trusted up to
+# cond(g) = _WITNESS_COND, and f(g . B) is tested against the gap less the
+# relative margin _GAP_MARGIN, which covers that rounding.
+_WITNESS_COND = 1e4
+_GAP_MARGIN = 1e-6
+
+
+@dataclass
+class GapCertificate:
+    """Outcome of flowing a representation B towards the critical-value gap
+    of its dimension vector (see certify_semistable). level is the gap less
+    the rounding margin; t and f are the time and value where the gradient
+    flow stopped. witness_f is f(g . B) and witness_cond the largest
+    condition number of a block of g, for the gauge element g co-integrated
+    up to t; both are None when the flow ended at or above the level."""
+
+    gap: float
+    level: float
+    t: float
+    f: float
+    witness_f: float | None = None
+    witness_cond: float | None = None
+
+    @property
+    def outcome(self) -> str:
+        """"certified"; "above gap", when the flow ended at or above the
+        level; or "no witness", when f(g . B) is not below the level or g is
+        too ill-conditioned to trust."""
+        if self.witness_f is None:
+            return "above gap"
+        if self.witness_f < self.level and self.witness_cond <= _WITNESS_COND:
+            return "certified"
+        return "no witness"
+
+    @property
+    def certified(self) -> bool:
+        return self.outcome == "certified"
+
+
+def certify_semistable(
+    q: Quiver,
+    B: Representation,
+    a: StabilityParam,
+    gap: Fraction | float,
+    cfg: FlowConfig = FlowConfig(),
+) -> GapCertificate:
+    """Certify B semistable at the critical-value gap (see semistable_gap).
+
+    The stratum of an HN type is invariant under the complex gauge group G_C,
+    and f decreases along the flow to the critical value of the type, so
+    f >= that value on the whole stratum. Hence f(g . B) < gap for some g in
+    G_C proves B semistable. The gradient flow runs until f drops below the
+    level (the gap less a rounding margin), ||grad f|| < grad_tol or
+    max_time; if it dropped below, the gauge curve dg/dt g^{-1} = 2 H(A(t))
+    is co-integrated up to the same time, and its end point g is the
+    witness. The flow alone is no witness: roundoff ejects a trajectory that
+    starts on an unstable stratum, and it then drains below the gap, while
+    g . B stays in the orbit of B. Raises FlowError when a flow does."""
+    gap = float(gap)
+    level = gap * (1 - _GAP_MARGIN)
+    res = integrate_flow(q, B, a, cfg, stop_below=level)
+    cert = GapCertificate(gap, level, res.elapsed, res.final_f)
+    if res.final_f < level:
+        _, g = integrate_gauge(q, B, a, replace(cfg, max_time=res.elapsed), stop_below=level)
+        inv = [np.linalg.inv(b) for b in g]
+        gB = [g[in_i] @ m @ inv[out_i] for (out_i, in_i), m in zip(q.edge_indices(), B.mats)]
+        cert.witness_f = f_value(q, B.with_mats(gB), a)
+        cert.witness_cond = max(float(np.linalg.cond(b)) for b in g if b.size)
+    return cert
+
+
 def sample_semistable(
     q: Quiver,
     v: Sequence[int],
@@ -303,20 +402,32 @@ def sample_semistable(
     cfg: FlowConfig = FlowConfig(),
     max_attempts: int = 30,
 ) -> Representation:
-    """Rejection-sample a representation certified semistable by flowing it
-    and accepting only a trivial limit type."""
+    """Rejection-sample a semistable representation of v, certified at the
+    critical-value gap. When v has no non-trivial HN type the first draw is
+    returned and nothing flows; when the exact series says the semistable
+    locus is empty, ConstructionError is raised at once. Otherwise each
+    draw flows only until f falls below the gap (certify_semistable), and
+    the first certified draw is returned."""
     v = q.check_dims(v)
+    gap = semistable_gap(q, v, a)
+    if gap is None:
+        return Representation.random(q, v, rng)
+    _require_nonempty(q, v, a)
+    ended = Counter()
     for _ in range(max_attempts):
         B = Representation.random(q, v, rng)
         try:
-            t = hn_type_by_flow(q, B, a, cfg)
-        except (FlowError, ClassificationError):
+            cert = certify_semistable(q, B, a, gap, cfg)
+        except FlowError:
+            ended["raised FlowError"] += 1
             continue
-        if len(t) == 1:
+        if cert.certified:
             return B
+        ended[cert.outcome] += 1
+    how = ", ".join(f"{n} {outcome}" for outcome, n in sorted(ended.items()))
     raise ConstructionError(
-        f"no semistable representation found for v={tuple(v)} in {max_attempts} attempts "
-        "(the semistable locus is likely empty)"
+        f"no draw of v={tuple(v)} certified semistable in {max_attempts} attempts "
+        f"at the critical-value gap {float(gap):.6g} ({how})"
     )
 
 
@@ -378,20 +489,28 @@ def make_hn_example(
     max_attempts: int = 30,
 ) -> tuple[Representation, Filtration]:
     """Ground-truth instance of a given HN type: block-upper-triangular with
-    certified-semistable diagonal blocks (slopes strictly decreasing down the
-    diagonal) and random extension blocks of relative size eta_scale. The
-    returned filtration is the HN filtration by construction."""
+    semistable diagonal blocks (slopes strictly decreasing down the diagonal)
+    and random extension blocks of relative size eta_scale. The returned
+    filtration is the HN filtration by construction.
+
+    Each diagonal block is drawn by sample_semistable, which certifies it
+    semistable at the critical-value gap of its part. When the exact series
+    says some part has an empty semistable locus, the stratum is empty and
+    ConstructionError is raised before anything is drawn or flowed."""
     dims = tuple(sum(col) for col in zip(*hn_type))
     check_hn_type(q, dims, a, hn_type)
-    rng = np.random.default_rng(seed)
-    diag = []
-    for part in hn_type:
-        a_s = shifted_param(q, part, a)
+    shifted = [shifted_param(q, part, a) for part in hn_type]
+    for part, a_s in zip(hn_type, shifted):
         if require_stable and not slope_generic(q, part, a_s):
             raise ConstructionError(
                 f"part {part} admits equal-slope subvectors: stability cannot be certified"
             )
-        diag.append(sample_semistable(q, part, a_s, rng, cfg, max_attempts))
+        _require_nonempty(q, part, a_s)
+    rng = np.random.default_rng(seed)
+    diag = [
+        sample_semistable(q, part, a_s, rng, cfg, max_attempts)
+        for part, a_s in zip(hn_type, shifted)
+    ]
     diag_norm = max(1.0, max(B.norm() for B in diag))
     eta = _upper_triangular_noise(q, hn_type, rng, eta_scale * diag_norm)
     A = Representation(q, dims, _assemble_blocks(q, hn_type, [B.mats for B in diag], eta))

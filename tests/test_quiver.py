@@ -17,6 +17,7 @@ from quiverflow import (
     a2,
     check_hn_type,
     codimension,
+    critical_value,
     degree,
     enumerate_hn_types,
     euler_form,
@@ -245,6 +246,16 @@ def test_codimension_against_entry_counting():
         )
         for t in enumerate_hn_types(q, v, a):
             assert codimension(q, t) == _codim_oracle(q, t)
+
+
+def test_critical_value_exact():
+    # star21 at v = (2, 1), a = (-1, 2): the slopes of (1, 1), (1, 0), (0, 1)
+    # and (2, 0) are 1/2, -1, 2 and -1
+    q, v, a = star21()
+    assert critical_value(q, ((2, 1),), a) == 0
+    assert critical_value(q, ((1, 1), (1, 0)), a) == Fraction(3, 2)
+    assert critical_value(q, ((0, 1), (2, 0)), a) == 6
+    assert critical_value(q, ((0, 1), (1, 1), (1, 0)), a) == Fraction(11, 2)
 
 
 def test_two_filtered_param():

@@ -1,11 +1,16 @@
-"""Critical-point classification, constructed HN instances, intertwiner
-spaces, graded objects, and the tangent-space codimension check."""
+"""Critical-point classification, constructed HN instances and the
+semistability certificate behind them, intertwiner spaces, graded objects,
+and the tangent-space codimension check."""
+
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quiverflow import (
     ClassificationError,
+    ConstructionError,
     Filtration,
     FlowConfig,
     LieElement,
@@ -16,6 +21,7 @@ from quiverflow import (
     StabilityParam,
     a2,
     act,
+    certify_semistable,
     classify_critical,
     codimension,
     enumerate_hn_types,
@@ -28,7 +34,11 @@ from quiverflow import (
     jordan2,
     make_critical_point,
     make_hn_example,
+    poincare_semistable,
     rho,
+    sample_semistable,
+    semistable_gap,
+    shifted_param,
     slope,
     slope_generic,
     star21,
@@ -340,3 +350,156 @@ def test_flow_to_critical_records_fallback_reason(monkeypatch):
     # the endpoint is classified instead, and warnings stay untouched
     assert A_inf is res.final and crit.hn_type == ((2, 1),)
     assert res.warnings == []
+
+
+TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
+TRIANGLE_DIMS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)]
+
+
+def triangle_param(v):
+    """(2, -1, -1) shifted to be trace-free on v."""
+    mu = Fraction(2 * v[0] - v[1] - v[2], sum(v))
+    return StabilityParam.trace_free(TRIANGLE, v, [2 - mu, -1 - mu, -1 - mu])
+
+
+def stratum_is_empty(q, hn_type, a):
+    """The exact answer: some part has a semistable series with constant
+    term 0."""
+    return any(
+        poincare_semistable(q, p, shifted_param(q, p, a), 0).coeffs[0] == 0 for p in hn_type
+    )
+
+
+def count_flows(monkeypatch) -> list:
+    """Record every flow strata starts: gradient flows and gauge flows."""
+    calls = []
+
+    def counting(real):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("integrate_flow", "integrate_gauge"):
+        monkeypatch.setattr(strata, name, counting(getattr(strata, name)))
+    return calls
+
+
+def test_make_hn_example_not_slope_generic_part():
+    # the part (2,1,1) is strictly semistable at a generic draw, and its flow
+    # converges algebraically: a sampler that waits for grad_tol gives up
+    # after minutes and reports the stratum empty
+    v = (2, 2, 1)
+    a = triangle_param(v)
+    t0 = time.perf_counter()
+    A, filt = make_hn_example(TRIANGLE, ((2, 1, 1), (0, 1, 0)), a, seed=0)
+    assert time.perf_counter() - t0 < 5
+    assert filt.hn_type == ((2, 1, 1), (0, 1, 0)) and A.dims == v
+
+
+def test_make_hn_example_triangle_coverage(monkeypatch):
+    calls = count_flows(monkeypatch)
+    cfg = FlowConfig(max_time=100)
+    built, empty = 0, 0
+    for v in TRIANGLE_DIMS:
+        a = triangle_param(v)
+        for t in enumerate_hn_types(TRIANGLE, v, a, include_trivial=False):
+            if stratum_is_empty(TRIANGLE, t, a):
+                before = len(calls)
+                with pytest.raises(ConstructionError, match="exact series"):
+                    make_hn_example(TRIANGLE, t, a, seed=0, cfg=cfg)
+                assert len(calls) == before
+                empty += 1
+            else:
+                A, filt = make_hn_example(TRIANGLE, t, a, seed=0, cfg=cfg)
+                assert filt.hn_type == t and A.dims == v
+                built += 1
+    assert (built, empty) == (38, 22)
+
+
+def gap_cases():
+    """(quiver, v, parameter, type, seed) of constructed unstable instances:
+    every non-trivial star type at v = (2,1)..(4,1) and every nonempty
+    non-trivial triangle type, seed 0, plus the star instances whose flow
+    drains past the saddle and the length-3 triangle type that does so at
+    seeds 0-2."""
+    qs = star21()[0]
+    for v in [(2, 1), (3, 1), (4, 1)]:
+        a = two_filtered_param(qs, v, "inf", -1)
+        for t in enumerate_hn_types(qs, v, a, include_trivial=False):
+            yield qs, v, a, t, 0
+    for v, t, seed in [((3, 1), ((1, 1), (2, 0)), 3), ((4, 1), ((1, 1), (3, 0)), 2)]:
+        yield qs, v, two_filtered_param(qs, v, "inf", -1), t, seed
+    for v in TRIANGLE_DIMS:
+        a = triangle_param(v)
+        for t in enumerate_hn_types(TRIANGLE, v, a, include_trivial=False):
+            if not stratum_is_empty(TRIANGLE, t, a):
+                yield TRIANGLE, v, a, t, 0
+    for seed in (1, 2):
+        v = (2, 2, 2)
+        yield TRIANGLE, v, triangle_param(v), ((1, 0, 1), (1, 1, 1), (0, 1, 0)), seed
+
+
+def test_gap_certificate_rejects_unstable_instances():
+    # the flow from many of these drains below the gap once roundoff ejects
+    # it from the stratum; the co-integrated gauge element does not. Those
+    # flows cross the gap by t = 15
+    cfg = FlowConfig(max_time=30)
+    outcomes = []
+    for q, v, a, t, seed in gap_cases():
+        A, _ = make_hn_example(q, t, a, seed=seed)
+        gap = semistable_gap(q, v, a)
+        cert = certify_semistable(q, A, a, gap, cfg)
+        assert not cert.certified, (v, t, seed, cert)
+        assert cert.gap == float(gap) and cert.level < cert.gap
+        if cert.witness_f is not None:
+            assert cert.f < cert.level and cert.witness_f >= cert.level
+        outcomes.append(cert.outcome)
+    assert set(outcomes) == {"above gap", "no witness"}
+
+
+def test_gap_certificate_accepts_random_starts():
+    q = star21()[0]
+    rng = np.random.default_rng(0)
+    for v in [(2, 1), (3, 1)]:
+        a = two_filtered_param(q, v, "inf", -1)
+        gap = semistable_gap(q, v, a)
+        for _ in range(5):
+            cert = certify_semistable(q, Representation.random(q, v, rng), a, gap)
+            assert cert.certified and cert.t < 2.0
+            assert cert.witness_f == pytest.approx(cert.f, rel=1e-8)
+
+
+def test_sample_semistable_trivial_part_single_draw(monkeypatch):
+    # (2, 0) on star21 has no non-trivial HN type: every draw is semistable
+    q, _, a = star21()
+    part = (2, 0)
+    a_s = shifted_param(q, part, a)
+    assert semistable_gap(q, part, a_s) is None
+    calls = count_flows(monkeypatch)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    B = sample_semistable(q, part, a_s, rng)
+    first = Representation.random(q, part, ref)
+    assert all(np.array_equal(x, y) for x, y in zip(B.mats, first.mats))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert calls == []
+
+
+def test_sample_semistable_empty_locus_raises_without_flow(monkeypatch):
+    v = (2, 0, 2)
+    a = StabilityParam.trace_free(TRIANGLE, v, [-1, 0, 1])
+    assert stratum_is_empty(TRIANGLE, (v,), a)
+    calls = count_flows(monkeypatch)
+    with pytest.raises(ConstructionError, match="is empty: the exact series"):
+        sample_semistable(TRIANGLE, v, a, np.random.default_rng(0))
+    assert calls == []
+
+
+def test_sample_semistable_out_of_attempts_reports_flows():
+    q, v, a = star21()
+    with pytest.raises(ConstructionError) as err:
+        sample_semistable(q, v, a, np.random.default_rng(0), FlowConfig(max_time=1e-3),
+                          max_attempts=2)
+    msg = str(err.value)
+    assert "in 2 attempts" in msg and "(2 above gap)" in msg and "empty" not in msg
