@@ -291,10 +291,12 @@ def _integrate(
             y_new_norm = _norm(Y[12])
         stats.n_rhs += 12
         scale = cfg.atol + cfg.rtol * max(y_norm, y_new_norm)
-        finite = math.isfinite(err) and math.isfinite(f_new)
+        # a norm that overflows leaves scale infinite or NaN and no error
+        # control: such a trial is non-finite whatever err says
+        finite = math.isfinite(err) and math.isfinite(f_new) and math.isfinite(y_new_norm)
         if not finite:
             err = math.inf
-        if err <= scale and f_new <= fs + _F_MONOTONE_TOL * (1.0 + fs):
+        if finite and err <= scale and f_new <= fs + _F_MONOTONE_TOL * (1.0 + fs):
             t += h
             y, y_norm, fs, g = Y[12].copy(), y_new_norm, f_new, g_new
             K[0] = K[12]

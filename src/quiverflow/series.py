@@ -1,13 +1,21 @@
-"""Truncated integer power series in t and the recursive formula for the
-equivariant Poincare series of the semistable locus.
+"""Truncated integer power series in s = t^2 and the recursive formula for
+the equivariant Poincare series of the semistable locus.
+
+Every series here has only even powers of t: P(BG_v) is a product of
+1/(1 - t^{2k}) and every codimension enters as t^{2 codim}. A
+`TruncatedSeries` therefore stores its coefficients in s = t^2, trimmed of
+trailing zeros, and rejects a nonzero odd power of t. Its constructor,
+`coeffs` and `max_degree` stay in t.
 
 The HN stratification is equivariantly perfect, so P(BG_v) is the sum over HN
 types of t^{2 codim} times the product of the parts' semistable series. The
 codimension -sum_{j<k} <v_j, v_k> splits after the first part, and
 `poincare_semistable` sums over first parts rather than over whole types:
 each sub-dimension vector's slope is computed once per call and no type is
-enumerated. `reconstruct_BG_check` keeps the whole-type sum as an
-independent check of the same identity.
+enumerated. Inside the recursion a series is a plain tuple of s-coefficients,
+and each term is added by `_mac`, the one truncated convolution of the
+module, which `TruncatedSeries.__mul__` calls too. `reconstruct_BG_check`
+keeps the whole-type sum as an independent check of the same identity.
 
 Coefficients are exact Python ints; operations never read beyond the
 truncation degree.
@@ -16,6 +24,7 @@ truncation degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .quiver import (
@@ -31,21 +40,55 @@ from .quiver import (
     slope,
 )
 
+SCoeffs = tuple[int, ...]  # coefficients in s = t^2, no trailing zero
+
+
+def _trim(c: Sequence[int]) -> SCoeffs:
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _mac(acc: list[int], x: SCoeffs, y: SCoeffs, e: int) -> None:
+    """acc += s^e * x * y, truncated at s^(len(acc) - 1); 0 <= e < len(acc)."""
+    n = len(acc) - e
+    for i, xi in enumerate(x[:n], e):
+        if xi:
+            for j, yj in enumerate(y[: n + e - i], i):
+                acc[j] += xi * yj
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer-coefficient power series in t, truncated at max_degree."""
+    """Integer-coefficient power series in t with only even powers, truncated
+    at t^max_degree and stored in s = t^2."""
 
     max_degree: int
-    coeffs: tuple[int, ...]
+    s_coeffs: SCoeffs
 
     def __init__(self, max_degree: int, coeffs: Sequence[int] = ()):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         c = list(map(int, coeffs))[: max_degree + 1]
-        c += [0] * (max_degree + 1 - len(c))
+        if any(c[1::2]):
+            raise ValueError("odd power of t with a nonzero coefficient")
         object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "s_coeffs", _trim(c[::2]))
+
+    @classmethod
+    def _from_s(cls, max_degree: int, s: Sequence[int]) -> "TruncatedSeries":
+        out = object.__new__(cls)
+        object.__setattr__(out, "max_degree", max_degree)
+        object.__setattr__(out, "s_coeffs", _trim(s[: max_degree // 2 + 1]))
+        return out
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients of t^0 .. t^max_degree."""
+        c = [0] * (self.max_degree + 1)
+        c[: 2 * len(self.s_coeffs) : 2] = self.s_coeffs
+        return tuple(c)
 
     @classmethod
     def one(cls, max_degree: int) -> "TruncatedSeries":
@@ -56,7 +99,7 @@ class TruncatedSeries:
         return cls(max_degree, [])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.s_coeffs
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.max_degree != other.max_degree:
@@ -64,42 +107,35 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(
-            self.max_degree, [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        )
+        pairs = zip_longest(self.s_coeffs, other.s_coeffs, fillvalue=0)
+        return TruncatedSeries._from_s(self.max_degree, [x + y for x, y in pairs])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(
-            self.max_degree, [x - y for x, y in zip(self.coeffs, other.coeffs)]
-        )
+        pairs = zip_longest(self.s_coeffs, other.s_coeffs, fillvalue=0)
+        return TruncatedSeries._from_s(self.max_degree, [x - y for x, y in pairs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        n = self.max_degree
-        out = [0] * (n + 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs[: n + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-        return TruncatedSeries(n, out)
+        acc = [0] * (self.max_degree // 2 + 1)
+        _mac(acc, self.s_coeffs, other.s_coeffs, 0)
+        return TruncatedSeries._from_s(self.max_degree, acc)
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return TruncatedSeries(self.max_degree, [0] * k + list(self.coeffs))
+        """Multiply by t^k, k even and nonnegative."""
+        if k < 0 or k % 2:
+            raise ValueError("shift must be even and nonnegative")
+        return TruncatedSeries._from_s(self.max_degree, (0,) * (k // 2) + self.s_coeffs)
 
     def geometric_factor(self, k: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - t^k), k >= 1."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        out = list(self.coeffs)
-        for i in range(k, self.max_degree + 1):
-            out[i] += out[i - k]
-        return TruncatedSeries(self.max_degree, out)
+        """Multiply by 1/(1 - t^k), k even and >= 2."""
+        if k < 2 or k % 2:
+            raise ValueError("k must be even and >= 2")
+        j = k // 2
+        out = list(self.s_coeffs) + [0] * (self.max_degree // 2 + 1 - len(self.s_coeffs))
+        for i in range(j, len(out)):
+            out[i] += out[i - j]
+        return TruncatedSeries._from_s(self.max_degree, out)
 
 
 def poincare_BG(v: Sequence[int], max_degree: int) -> TruncatedSeries:
@@ -145,8 +181,9 @@ def poincare_semistable(
     R(u, s) is the whole-type sum of t^{2 codim} prod_i P_ss(v_i) over the HN
     types of u whose first slope is below s. Shifting the parameter leaves
     every slope comparison unchanged, so the slope of each sub-vector of v is
-    computed once; P_ss is memoized on exact (w, a_w) keys and R on (u, s)
-    within the call.
+    computed once; P_ss is memoized on exact (w, a_w, max_degree) keys and R
+    on (u, s) within the call. Both are trimmed s-coefficient tuples, the
+    zero series is (), and each term is accumulated in place by `_mac`.
 
     A slope-feasible type with an empty stratum has some factor equal to the
     zero series. A term with a zero factor is skipped whatever its exponent,
@@ -162,51 +199,54 @@ def poincare_semistable(
     # slopes enter only through comparisons: replace each by its rank
     order = {s: i for i, s in enumerate(sorted(set(slopes.values())))}
     level = {w: order[s] for w, s in slopes.items()}
-    one = TruncatedSeries.one(max_degree)
+    top = max_degree // 2  # truncation degree in s
     found: dict = {}  # P_ss by sub-vector, so each exact key is hashed once
     tails: dict = {}
 
-    def first_parts(u: DimVector, below: int, whole: bool) -> TruncatedSeries:
+    def first_parts(u: DimVector, below: int, whole: bool) -> list[int]:
         """Sum over first parts w of u with level < below; w = u only when
         `whole`."""
-        out = TruncatedSeries.zero(max_degree)
+        acc = [0] * (top + 1)
         for w in _sub_vectors(u):
             if not rank(w) or level[w] >= below or (w == u and not whole):
                 continue
             p = ss(w)
-            if p.is_zero():
+            if not p:
                 continue
             rest = tuple(x - y for x, y in zip(u, w))
             e = -euler_form(q, w, rest)
-            if 2 * e > max_degree:
+            if e > top:
                 continue
             r = tail(rest, level[w])
-            if r.is_zero():
+            if not r:
                 continue
             if e < 0:
                 raise SeriesInvariantError(
                     f"negative exponent {e} on a nonzero term: first part {w} of {u}"
                 )
-            out = out + (p * r).shift(2 * e)
-        return out
+            _mac(acc, p, r, e)
+        return acc
 
-    def tail(u: DimVector, below: int) -> TruncatedSeries:
+    def tail(u: DimVector, below: int) -> SCoeffs:
         if not rank(u):
-            return one
+            return (1,)
         key = (u, below)
         if key not in tails:
-            tails[key] = first_parts(u, below, True)
+            tails[key] = _trim(first_parts(u, below, True))
         return tails[key]
 
-    def ss(w: DimVector) -> TruncatedSeries:
+    def ss(w: DimVector) -> SCoeffs:
         if w not in found:
-            key = (w, tuple(x - slopes[w] for x in a.values))
+            key = (w, tuple(x - slopes[w] for x in a.values), max_degree)
             if key not in memo:
-                memo[key] = poincare_BG(w, max_degree) - first_parts(w, len(order), False)
+                bg = poincare_BG(w, max_degree).s_coeffs
+                memo[key] = _trim(
+                    [x - y for x, y in zip(bg, first_parts(w, len(order), False))]
+                )
             found[w] = memo[key]
         return found[w]
 
-    return ss(v)
+    return TruncatedSeries._from_s(max_degree, ss(v))
 
 
 def reconstruct_BG_check(

@@ -401,18 +401,22 @@ def sample_semistable(
     rng: np.random.Generator,
     cfg: FlowConfig = FlowConfig(),
     max_attempts: int = 30,
+    *,
+    _known_nonempty: bool = False,
 ) -> Representation:
     """Rejection-sample a semistable representation of v, certified at the
     critical-value gap. When v has no non-trivial HN type the first draw is
     returned and nothing flows; when the exact series says the semistable
-    locus is empty, ConstructionError is raised at once. Otherwise each
-    draw flows only until f falls below the gap (certify_semistable), and
-    the first certified draw is returned."""
+    locus is empty, ConstructionError is raised at once (make_hn_example
+    has checked its parts already and passes _known_nonempty). Otherwise
+    each draw flows only until f falls below the gap (certify_semistable),
+    and the first certified draw is returned."""
     v = q.check_dims(v)
     gap = semistable_gap(q, v, a)
     if gap is None:
         return Representation.random(q, v, rng)
-    _require_nonempty(q, v, a)
+    if not _known_nonempty:
+        _require_nonempty(q, v, a)
     ended = Counter()
     for _ in range(max_attempts):
         B = Representation.random(q, v, rng)
@@ -508,7 +512,7 @@ def make_hn_example(
         _require_nonempty(q, part, a_s)
     rng = np.random.default_rng(seed)
     diag = [
-        sample_semistable(q, part, a_s, rng, cfg, max_attempts)
+        sample_semistable(q, part, a_s, rng, cfg, max_attempts, _known_nonempty=True)
         for part, a_s in zip(hn_type, shifted)
     ]
     diag_norm = max(1.0, max(B.norm() for B in diag))

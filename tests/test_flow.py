@@ -192,6 +192,20 @@ def test_dop853_stiff_cap():
     assert all(abs(R(-100.0 * h)) < 1.0 for h in hs)
 
 
+def test_norm_overflow_ends_in_step_underflow():
+    # dy/dt = y grows past the range of ||y||^2 near ||y|| = 1e154; the
+    # error scale is then infinite, so no trial may be accepted there
+    def stage(y, out):
+        out[:] = y
+
+    with pytest.raises(flow.StepUnderflowError) as exc:
+        flow._integrate((stage, lambda k: (0.0, 1.0)), np.array([1.0]),
+                        FlowConfig(max_time=400, max_step=50), lambda *args: None)
+    assert isinstance(exc.value, flow.FlowError)
+    assert np.isfinite(flow._norm(exc.value.state))
+    assert exc.value.t < 400
+
+
 def test_dop853_tableau():
     A, (e5, e3) = flow._A, flow._E
     assert A.shape == (13, 12) and flow._E.shape == (2, 13)

@@ -17,6 +17,7 @@ from quiverflow import (
     StabilityParam,
     TruncatedSeries,
     a2,
+    euler_form,
     jordan2,
     poincare_BG,
     poincare_semistable,
@@ -35,16 +36,41 @@ def _trace_free(v, base):
 
 
 def test_series_arithmetic():
-    s = TruncatedSeries(5, [1, 2, 3])
-    t = TruncatedSeries(5, [0, 1])
-    assert (s + t).coeffs == (1, 3, 3, 0, 0, 0)
-    assert (s - t).coeffs == (1, 1, 3, 0, 0, 0)
-    assert (s * t).coeffs == (0, 1, 2, 3, 0, 0)
-    assert s.shift(2).coeffs == (0, 0, 1, 2, 3, 0)
+    s = TruncatedSeries(10, [1, 0, 2, 0, 3])
+    t = TruncatedSeries(10, [0, 0, 1])
+    assert (s + t).coeffs == (1, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0)
+    assert (s - t).coeffs == (1, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0)
+    assert (s * t).coeffs == (0, 0, 1, 0, 2, 0, 3, 0, 0, 0, 0)
+    assert s.shift(4).coeffs == (0, 0, 0, 0, 1, 0, 2, 0, 3, 0, 0)
+    assert s.shift(10).coeffs == (0,) * 10 + (1,)
     assert TruncatedSeries.one(3).coeffs == (1, 0, 0, 0)
     assert TruncatedSeries.zero(3).is_zero()
     with pytest.raises(ValueError):
-        s + TruncatedSeries(4, [1])
+        s + TruncatedSeries(8, [1])
+
+
+def test_odd_powers_are_rejected():
+    with pytest.raises(ValueError):
+        TruncatedSeries(4, [1, 1])
+    with pytest.raises(ValueError):
+        TruncatedSeries(6, [0, 0, 0, 2])
+    s = TruncatedSeries(6, [1])
+    with pytest.raises(ValueError):
+        s.shift(1)
+    with pytest.raises(ValueError):
+        s.geometric_factor(3)
+    # an odd power past the truncation degree is dropped with the rest
+    assert TruncatedSeries(4, [1, 0, 0, 0, 0, 5]).coeffs == (1, 0, 0, 0, 0)
+
+
+def test_odd_max_degree():
+    s = TruncatedSeries(5, [1, 0, 2])
+    assert s.coeffs == (1, 0, 2, 0, 0, 0)
+    assert poincare_BG((1,), 7).coeffs == (1, 0, 1, 0, 1, 0, 1, 0)
+    q, v, a = star21()
+    odd = poincare_semistable(q, v, a, 11).coeffs
+    assert len(odd) == 12 and odd[-1] == 0
+    assert odd == poincare_semistable(q, v, a, 12).coeffs[:12]
 
 
 def test_geometric_factor():
@@ -117,6 +143,20 @@ def test_memo_disabled_matches():
     assert with_memo.coeffs == fresh.coeffs
 
 
+def test_memo_shared_across_degrees():
+    q, v, a = star21()
+    memo: dict = {}
+    assert poincare_semistable(q, v, a, 0, _memo=memo).coeffs == (1,)
+    shared = poincare_semistable(q, v, a, 12, _memo=memo)
+    assert shared.coeffs == poincare_semistable(q, v, a, 12).coeffs
+    assert shared.coeffs[2] != 0
+
+
+def _even(s_coeffs):
+    """t-coefficients of the series with s = t^2 coefficients s_coeffs."""
+    return [c for x in s_coeffs for c in (x, 0)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     c1=st.lists(st.integers(-9, 9), max_size=6),
@@ -125,10 +165,51 @@ def test_memo_disabled_matches():
 )
 def test_ring_axioms(c1, c2, c3):
     n = 8
-    x, y, z = (TruncatedSeries(n, c) for c in (c1, c2, c3))
+    x, y, z = (TruncatedSeries(n, _even(c)) for c in (c1, c2, c3))
     assert (x * y).coeffs == (y * x).coeffs
     assert ((x * y) * z).coeffs == (x * (y * z)).coeffs
     assert (x * (y + z)).coeffs == (x * y + x * z).coeffs
+
+
+def _kronecker(m):
+    return Quiver(("1", "2"), (("1", "2"),) * m)
+
+
+def _gaussian_binomial(m, k):
+    """Coefficients of [m k] in q, by [m k] = [m-1 k-1] + q^k [m-1 k]."""
+    if k == 0 or k == m:
+        return [1]
+    lo, hi = _gaussian_binomial(m - 1, k - 1), _gaussian_binomial(m - 1, k)
+    out = [0] * (k * (m - k) + 1)
+    for i, c in enumerate(lo):
+        out[i] += c
+    for i, c in enumerate(hi):
+        out[i + k] += c
+    return out
+
+
+def _moduli_poincare(m, v):
+    """(1 - t^2) P_ss on the m-Kronecker quiver at a = (v2, -v1), truncated
+    two s-degrees past the moduli dimension 1 - <v, v>, and that dimension."""
+    q = _kronecker(m)
+    dim = 1 - euler_form(q, v, v)
+    p = poincare_semistable(q, v, StabilityParam((v[1], -v[0])), 2 * dim + 4)
+    return (p - p.shift(2)).coeffs, dim
+
+
+def test_kirwan_surjectivity_kronecker_moduli():
+    # for coprime v and a generic parameter the moduli space M is smooth and
+    # projective of dimension 1 - <v, v>, and P_t(M) = (1 - t^2) P_ss
+    # (King 1994; Reineke 2003): a palindromic polynomial in t^2
+    cases = [((m, (1, k)), _gaussian_binomial(m, k)) for m in (2, 3, 4, 5) for k in range(1, m)]
+    cases.append(((3, (2, 3)), [1, 1, 3, 3, 3, 1, 1]))
+    for (m, v), expected in cases:
+        coeffs, dim = _moduli_poincare(m, v)
+        poly = coeffs[: 2 * dim + 1]
+        assert all(c == 0 for c in coeffs[2 * dim + 1 :])
+        assert poly == poly[::-1]
+        assert list(poly[::2]) == expected
+    assert sum(_moduli_poincare(3, (2, 3))[0]) == 13
 
 
 # slope-feasible types with empty strata: each of these raised "negative

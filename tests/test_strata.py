@@ -111,6 +111,23 @@ def test_make_hn_example_star_and_flow_recovers_type():
             assert hn_type_by_flow(q, A, a) == t
 
 
+def test_make_hn_example_reads_each_part_series_once(monkeypatch):
+    # the part (1,1) has a non-trivial type, so sample_semistable would check
+    # its series again after make_hn_example did
+    q, v, a = star21()
+    parts = []
+    real = strata.poincare_semistable
+
+    def counted(q, part, *args, **kwargs):
+        parts.append(tuple(part))
+        return real(q, part, *args, **kwargs)
+
+    monkeypatch.setattr(strata, "poincare_semistable", counted)
+    t = ((1, 1), (1, 0))
+    make_hn_example(q, t, a, seed=0)
+    assert parts == list(t)
+
+
 def test_make_hn_example_eta_scale_invariance():
     q, v, a = star21()
     for scale in (0.1, 1.0, 10.0):
