@@ -1,5 +1,8 @@
 """Exact combinatorics of quivers: dimension vectors, stability parameters,
 slopes, Harder-Narasimhan type enumeration, and the stratum codimension formula.
+The sub-vector lattice `_Lattice` holds what type enumeration, slope
+genericity and the Poincare recursion read per sub-vector on integers: slope
+levels and Euler rows from the quiver's integer Euler matrix.
 
 Everything in this module is exact (integers and Fractions); no floats.
 """
@@ -7,8 +10,11 @@ Everything in this module is exact (integers and Fractions); no floats.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterator, Sequence
 
 DimVector = tuple[int, ...]
@@ -38,6 +44,12 @@ class Quiver:
                 raise QuiverError(f"edge ({s}, {t}) has an undeclared endpoint")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_edge_indices", tuple((index[s], index[t]) for s, t in self.edges))
+        # integer Euler matrix C = I - (edge counts): <x, y> = x^T C y
+        n = len(self.vertices)
+        c = [[int(i == j) for j in range(n)] for i in range(n)]
+        for s, t in self._edge_indices:
+            c[s][t] -= 1
+        object.__setattr__(self, "_euler", tuple(map(tuple, c)))
 
     @property
     def n_vertices(self) -> int:
@@ -118,9 +130,57 @@ def slope(q: Quiver, v: Sequence[int], a: StabilityParam) -> Fraction:
     return degree(q, v, a) / r
 
 
-def _sub_vectors(v: DimVector) -> Iterator[DimVector]:
-    """All componentwise 0 <= w <= v, in lexicographic order."""
-    return itertools.product(*(range(x + 1) for x in v))
+class _Lattice:
+    """The sub-vectors w <= v of one dimension vector, on integers.
+
+    w has the mixed-radix index idx(w) = sum_l w_l * stride_l, so index order
+    is lexicographic order and idx(u - w) = idx(u) - idx(w); idx(v) is the
+    last index. Per index the lattice holds the sub-vector (`vecs`), its rank,
+    its degree on the common denominator `denom` of a, its slope level and its
+    Euler row w^T C (`rows`, C the quiver's Euler matrix), so <w, x> is
+    rows[idx(w)] . x. Levels number the distinct slopes of the nonzero
+    sub-vectors in increasing order, equal slopes sharing one; the zero vector
+    gets `n_levels`, above every level, so `levels[w] < below` never admits
+    it.
+    """
+
+    def __init__(self, q: Quiver, v: DimVector, a: StabilityParam):
+        if len(a) != q.n_vertices:
+            raise QuiverError("stability parameter length does not match vertex count")
+        self.strides = tuple(math.prod(x + 1 for x in v[l + 1 :]) for l in range(len(v)))
+        self.vecs = list(itertools.product(*(range(x + 1) for x in v)))
+        self.ranks = [sum(w) for w in self.vecs]
+        self.denom = math.lcm(*(x.denominator for x in a))
+        scaled = [x.numerator * (self.denom // x.denominator) for x in a]
+        self.degrees = [sum(map(operator.mul, scaled, w)) for w in self.vecs]
+        # each slope as its reduced (degree, rank), so equal slopes share a
+        # key; ranks are positive, so keys order by cross-multiplying
+        keys = []
+        for d, r in zip(self.degrees[1:], self.ranks[1:]):
+            g = math.gcd(d, r)
+            keys.append((d // g, r // g))
+        order = sorted(set(keys), key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+        level = {k: i for i, k in enumerate(order)}
+        self.n_levels = len(order)
+        self.levels = [self.n_levels] + [level[k] for k in keys]
+        cols = tuple(zip(*q._euler))
+        self.rows = [tuple(sum(map(operator.mul, w, c)) for c in cols) for w in self.vecs]
+        self._subs: dict[int, list[int]] = {}
+
+    def subs(self, i: int) -> list[int]:
+        """Indices of the sub-vectors of vecs[i], zero and i included, in
+        increasing order."""
+        out = self._subs.get(i)
+        if out is None:
+            out = [0]
+            for x, stride in zip(self.vecs[i], self.strides):
+                out = [j + k * stride for j in out for k in range(x + 1)]
+            self._subs[i] = out
+        return out
+
+    def slope(self, i: int) -> Fraction:
+        """The exact slope of vecs[i] (nonzero)."""
+        return Fraction(self.degrees[i], self.ranks[i] * self.denom)
 
 
 def check_hn_type(q: Quiver, v: Sequence[int], a: StabilityParam, t: HNType) -> None:
@@ -152,25 +212,20 @@ def enumerate_hn_types(
     `strata` command) skip it by that test first. `poincare_semistable`
     sums over first parts and does not enumerate types.
     """
-    v = q.check_dims(v)
-    # every part is a nonzero sub-vector of v: one slope per sub-vector
-    slopes = {w: slope(q, w, a) for w in _sub_vectors(v) if rank(w)}
+    # every part is a nonzero sub-vector of v: slopes compare as lattice levels
+    lat = _Lattice(q, q.check_dims(v), a)
+    vecs, levels = lat.vecs, lat.levels
 
-    def extend(remaining: DimVector, last_slope) -> Iterator[HNType]:
-        if rank(remaining) == 0:
+    def extend(remaining: int, below: int) -> Iterator[HNType]:
+        if not remaining:
             yield ()
             return
-        for w in _sub_vectors(remaining):
-            if rank(w) == 0:
-                continue
-            s = slopes[w]
-            if last_slope is not None and s >= last_slope:
-                continue
-            rest = tuple(r - x for r, x in zip(remaining, w))
-            for tail in extend(rest, s):
-                yield (w,) + tail
+        for w in lat.subs(remaining):
+            if levels[w] < below:
+                for tail in extend(remaining - w, levels[w]):
+                    yield (vecs[w],) + tail
 
-    out = [t for t in extend(v, None)]
+    out = list(extend(len(vecs) - 1, lat.n_levels))
     if not include_trivial:
         out = [t for t in out if len(t) > 1]
     out.sort(key=lambda t: tuple(itertools.chain.from_iterable(t)))
@@ -184,8 +239,9 @@ def critical_value(q: Quiver, t: HNType, a: StabilityParam) -> Fraction:
 
 
 def euler_form(q: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
-    """Euler form <x, y> = sum_l x_l y_l - sum_{edges a} x_{out(a)} y_{in(a)}."""
-    return sum(p * r for p, r in zip(x, y)) - sum(x[s] * y[t] for s, t in q._edge_indices)
+    """Euler form <x, y> = sum_l x_l y_l - sum_{edges a} x_{out(a)} y_{in(a)},
+    read as x^T C y from the quiver's integer Euler matrix C."""
+    return sum(p * sum(map(operator.mul, row, y)) for p, row in zip(x, q._euler) if p)
 
 
 def codimension(q: Quiver, t: HNType) -> int:

@@ -10,12 +10,15 @@ trailing zeros, and rejects a nonzero odd power of t. Its constructor,
 The HN stratification is equivariantly perfect, so P(BG_v) is the sum over HN
 types of t^{2 codim} times the product of the parts' semistable series. The
 codimension -sum_{j<k} <v_j, v_k> splits after the first part, and
-`poincare_semistable` sums over first parts rather than over whole types:
-each sub-dimension vector's slope is computed once per call and no type is
-enumerated. Inside the recursion a series is a plain tuple of s-coefficients,
-and each term is added by `_mac`, the one truncated convolution of the
-module, which `TruncatedSeries.__mul__` calls too. `reconstruct_BG_check`
-keeps the whole-type sum as an independent check of the same identity.
+`poincare_semistable` sums over first parts rather than over whole types,
+and no type is enumerated. It runs on integers over the sub-vector lattice
+of v (`quiver._Lattice`), built once per call: a sub-vector is its
+mixed-radix index, a slope is an integer level and an exponent is a dot
+product with the sub-vector's Euler row. Inside the recursion a series is a
+plain tuple of s-coefficients, and each term is added by `_mac`, the one
+truncated convolution of the module, which `TruncatedSeries.__mul__` calls
+too. `reconstruct_BG_check` keeps the whole-type sum as an independent check
+of the same identity.
 
 Coefficients are exact Python ints; operations never read beyond the
 truncation degree.
@@ -25,19 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import Sequence
 
 from .quiver import (
-    DimVector,
     Quiver,
     StabilityParam,
-    _sub_vectors,
+    _Lattice,
     codimension,
     enumerate_hn_types,
-    euler_form,
     rank,
     shifted_param,
-    slope,
 )
 
 SCoeffs = tuple[int, ...]  # coefficients in s = t^2, no trailing zero
@@ -57,6 +58,12 @@ def _mac(acc: list[int], x: SCoeffs, y: SCoeffs, e: int) -> None:
         if xi:
             for j, yj in enumerate(y[: n + e - i], i):
                 acc[j] += xi * yj
+
+
+def _geometric(c: list[int], j: int) -> None:
+    """c /= (1 - s^j) in place, truncated at s^(len(c) - 1); j >= 1."""
+    for i in range(j, len(c)):
+        c[i] += c[i - j]
 
 
 @dataclass(frozen=True)
@@ -131,10 +138,8 @@ class TruncatedSeries:
         """Multiply by 1/(1 - t^k), k even and >= 2."""
         if k < 2 or k % 2:
             raise ValueError("k must be even and >= 2")
-        j = k // 2
         out = list(self.s_coeffs) + [0] * (self.max_degree // 2 + 1 - len(self.s_coeffs))
-        for i in range(j, len(out)):
-            out[i] += out[i - j]
+        _geometric(out, k // 2)
         return TruncatedSeries._from_s(self.max_degree, out)
 
 
@@ -143,11 +148,13 @@ def poincare_BG(v: Sequence[int], max_degree: int) -> TruncatedSeries:
 
         prod_l prod_{k=1..v_l} 1/(1 - t^{2k}),  truncated.
     """
-    s = TruncatedSeries.one(max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    c = [1] + [0] * (max_degree // 2)
     for d in v:
         for k in range(1, d + 1):
-            s = s.geometric_factor(2 * k)
-    return s
+            _geometric(c, k)
+    return TruncatedSeries._from_s(max_degree, c)
 
 
 class SeriesInvariantError(RuntimeError):
@@ -180,10 +187,16 @@ def poincare_semistable(
 
     R(u, s) is the whole-type sum of t^{2 codim} prod_i P_ss(v_i) over the HN
     types of u whose first slope is below s. Shifting the parameter leaves
-    every slope comparison unchanged, so the slope of each sub-vector of v is
-    computed once; P_ss is memoized on exact (w, a_w, max_degree) keys and R
-    on (u, s) within the call. Both are trimmed s-coefficient tuples, the
-    zero series is (), and each term is accumulated in place by `_mac`.
+    every slope comparison unchanged, so the whole recursion runs on the
+    sub-vector lattice of v: sub-vectors are mixed-radix indices (the index
+    of u - w is idx(u) - idx(w)), slopes are integer levels over the common
+    denominator of a, compared once per call, and the exponent -<w, u-w> is
+    the dot product of w's Euler row with u - w. No Fraction is built per
+    sub-vector. P_ss is kept per index and R per (index, level) within the
+    call; only a caller-shared `_memo` keys P_ss on exact (w, a_w,
+    max_degree), so it serves calls on other dimension vectors and degrees.
+    Both are trimmed s-coefficient tuples, the zero series is (), and each
+    term is accumulated in place by `_mac`.
 
     A slope-feasible type with an empty stratum has some factor equal to the
     zero series. A term with a zero factor is skipped whatever its exponent,
@@ -193,60 +206,63 @@ def poincare_semistable(
     v = q.check_dims(v)
     if rank(v) < 1:
         raise ValueError("rank must be >= 1")
-    memo = _memo if _memo is not None else {}
     a = StabilityParam(a)
-    slopes = {w: slope(q, w, a) for w in _sub_vectors(v) if rank(w)}
-    # slopes enter only through comparisons: replace each by its rank
-    order = {s: i for i, s in enumerate(sorted(set(slopes.values())))}
-    level = {w: order[s] for w, s in slopes.items()}
+    lat = _Lattice(q, v, a)
+    vecs, levels, rows = lat.vecs, lat.levels, lat.rows
     top = max_degree // 2  # truncation degree in s
-    found: dict = {}  # P_ss by sub-vector, so each exact key is hashed once
+    found: list = [None] * len(vecs)  # P_ss by index; the memo unless shared
     tails: dict = {}
 
-    def first_parts(u: DimVector, below: int, whole: bool) -> list[int]:
+    def first_parts(u: int, below: int, whole: bool) -> list[int]:
         """Sum over first parts w of u with level < below; w = u only when
         `whole`."""
         acc = [0] * (top + 1)
-        for w in _sub_vectors(u):
-            if not rank(w) or level[w] >= below or (w == u and not whole):
+        ws = lat.subs(u)
+        for w in ws if whole else ws[:-1]:
+            if levels[w] >= below:
                 continue
-            p = ss(w)
+            p = found[w] or ss(w)
             if not p:
                 continue
-            rest = tuple(x - y for x, y in zip(u, w))
-            e = -euler_form(q, w, rest)
+            rest = u - w
+            e = -sum(map(mul, rows[w], vecs[rest]))
             if e > top:
                 continue
-            r = tail(rest, level[w])
+            r = tail(rest, levels[w])
             if not r:
                 continue
             if e < 0:
                 raise SeriesInvariantError(
-                    f"negative exponent {e} on a nonzero term: first part {w} of {u}"
+                    f"negative exponent {e} on a nonzero term: "
+                    f"first part {vecs[w]} of {vecs[u]}"
                 )
             _mac(acc, p, r, e)
         return acc
 
-    def tail(u: DimVector, below: int) -> SCoeffs:
-        if not rank(u):
+    def tail(u: int, below: int) -> SCoeffs:
+        if not u:
             return (1,)
         key = (u, below)
         if key not in tails:
             tails[key] = _trim(first_parts(u, below, True))
         return tails[key]
 
-    def ss(w: DimVector) -> SCoeffs:
-        if w not in found:
-            key = (w, tuple(x - slopes[w] for x in a.values), max_degree)
-            if key not in memo:
-                bg = poincare_BG(w, max_degree).s_coeffs
-                memo[key] = _trim(
-                    [x - y for x, y in zip(bg, first_parts(w, len(order), False))]
-                )
-            found[w] = memo[key]
+    def compute(w: int) -> SCoeffs:
+        bg = poincare_BG(vecs[w], max_degree).s_coeffs
+        return _trim([x - y for x, y in zip(bg, first_parts(w, lat.n_levels, False))])
+
+    def ss(w: int) -> SCoeffs:
+        if found[w] is None:
+            if _memo is None:
+                found[w] = compute(w)
+            else:
+                key = (vecs[w], tuple(x - lat.slope(w) for x in a.values), max_degree)
+                if key not in _memo:
+                    _memo[key] = compute(w)
+                found[w] = _memo[key]
         return found[w]
 
-    return TruncatedSeries._from_s(max_degree, ss(v))
+    return TruncatedSeries._from_s(max_degree, ss(len(vecs) - 1))
 
 
 def reconstruct_BG_check(

@@ -28,7 +28,7 @@ from .quiver import (
     rank,
     shifted_param,
     slope,
-    _sub_vectors,
+    _Lattice,
 )
 from .repspace import Representation, f_value, grad_norm, shifted_moment
 from .series import poincare_semistable
@@ -292,13 +292,10 @@ def slope_generic(q: Quiver, v: Sequence[int], a: StabilityParam) -> bool:
     """True when no proper nonzero sub-dimension-vector has the same slope as
     v; then semistable implies stable for this (q, v, a)."""
     v = q.check_dims(v)
-    mu = slope(q, v, a)
-    for w in _sub_vectors(v):
-        if rank(w) == 0 or w == v:
-            continue
-        if slope(q, w, a) == mu:
-            return False
-    return True
+    if rank(v) == 0:
+        raise QuiverError("slope undefined for rank-zero dimension vector")
+    levels = _Lattice(q, v, a).levels
+    return levels.count(levels[-1]) == 1
 
 
 def semistable_gap(q: Quiver, v: Sequence[int], a: StabilityParam) -> Fraction | None:

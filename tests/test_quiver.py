@@ -176,8 +176,50 @@ def test_enumerate_hn_types_computes_each_slope_once(monkeypatch):
     for q, v, a in _enumeration_cases():
         calls.clear()
         got = enumerate_hn_types(q, v, a)
-        assert len(calls) <= np.prod([x + 1 for x in v]) - 1, (q.edges, v)
+        # slopes compare as integer levels of the sub-vector lattice, so no
+        # Fraction slope is computed at all
+        assert calls == [], (q.edges, v)
         assert got == _reference_types(q, v, a), (q.edges, v)
+
+
+def _lattice_cases():
+    """Quivers with loops, parallel edges and a vertex of dimension 0, under
+    parameters whose denominators differ."""
+    loopy = Quiver(
+        ("1", "2", "3"), (("1", "1"), ("1", "2"), ("1", "2"), ("2", "3"), ("3", "2"))
+    )
+    yield loopy, (2, 0, 2), StabilityParam([Fraction(1, 2), Fraction(3, 5), Fraction(-1, 2)])
+    yield loopy, (1, 2, 3), StabilityParam([Fraction(-1, 7), Fraction(1, 6), 0])
+    yield KRONECKER3, (3, 2), StabilityParam([2, -3])
+    q, v, a = star21()
+    yield q, (3, 1), StabilityParam([Fraction(-2, 3), Fraction(4, 9)])
+
+
+def test_lattice_matches_exact_slopes_and_euler_form():
+    for q, v, a in _lattice_cases():
+        lat = quiver_module._Lattice(q, v, a)
+        vecs = list(itertools.product(*(range(x + 1) for x in v)))
+        assert lat.vecs == vecs
+        for i, u in enumerate(vecs):
+            # the mixed-radix index, so idx(u - w) = idx(u) - idx(w)
+            assert i == sum(x * s for x, s in zip(u, lat.strides))
+            below = [j for j, w in enumerate(vecs) if all(x <= y for x, y in zip(w, u))]
+            assert lat.subs(i) == below
+            for w in vecs:
+                # <u, w> from the edge list, independently of the Euler matrix
+                plain = sum(x * y for x, y in zip(u, w)) - sum(
+                    u[s] * w[t] for s, t in q.edge_indices()
+                )
+                assert sum(x * y for x, y in zip(lat.rows[i], w)) == plain
+                assert euler_form(q, u, w) == plain
+        assert lat.levels[0] == lat.n_levels
+        mu = {i: slope(q, w, a) for i, w in enumerate(vecs) if i}
+        for i in mu:
+            assert lat.slope(i) == mu[i]
+            for j in mu:
+                assert (lat.levels[i] < lat.levels[j]) == (mu[i] < mu[j])
+                assert (lat.levels[i] == lat.levels[j]) == (mu[i] == mu[j])
+        assert enumerate_hn_types(q, v, a) == _reference_types(q, v, a)
 
 
 def test_enumerate_a2_explicit():

@@ -3,6 +3,7 @@ recursion, with an independent partition-counting oracle for the
 classifying-space series and Reineke's resolution as the oracle for the
 semistable series."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,13 @@ from quiverflow import (
     StabilityParam,
     TruncatedSeries,
     a2,
+    enumerate_hn_types,
     euler_form,
     jordan2,
     poincare_BG,
     poincare_semistable,
     reconstruct_BG_check,
-    series,
+    shifted_param,
     star21,
 )
 
@@ -103,6 +105,11 @@ def test_poincare_BG_examples():
     assert poincare_BG((1,), 6).coeffs == (1, 0, 1, 0, 1, 0, 1)
     assert poincare_BG((2,), 8).coeffs == (1, 0, 1, 0, 2, 0, 2, 0, 3)
     assert poincare_BG((), 4).coeffs == (1, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        poincare_BG((1,), -1)
+    q, v, a = a2()
+    with pytest.raises(ValueError):
+        poincare_semistable(q, v, a, -2)
 
 
 def test_a2_semistable_both_signs():
@@ -258,10 +265,66 @@ def test_recursion_matches_reineke(inputs):
     assert all(c >= 0 for c in s.coeffs)
 
 
-def test_negative_exponent_is_an_invariant_error(monkeypatch):
-    # no quiver gives a nonzero term a negative power of t; force one
-    monkeypatch.setattr(series, "euler_form", lambda q, x, y: 1)
+def test_negative_exponent_is_an_invariant_error():
+    # no quiver gives a nonzero term a negative power of t; force one with an
+    # Euler matrix whose edge entry has the wrong sign, so <(1,0), (0,1)> = 1
     q, v, a = a2()
+    object.__setattr__(q, "_euler", ((1, 1), (0, 1)))
     with pytest.raises(SeriesInvariantError) as exc:
         poincare_semistable(q, v, a, 4)
     assert not isinstance(exc.value, QuiverError)
+    assert "first part (1, 0) of (1, 1)" in str(exc.value)
+
+
+# loops at 1 and 3, two parallel edges 1 -> 2 and a 2-cycle between 2 and 3
+LOOPY = Quiver(
+    ("1", "2", "3"),
+    (("1", "1"), ("1", "2"), ("1", "2"), ("2", "3"), ("3", "2"), ("3", "3")),
+)
+LOOPY_DIMS = [(2, 0, 2), (2, 1, 1), (1, 2, 1), (0, 2, 2), (1, 1, 2)]
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_lattice_denominators_match_reineke(d):
+    # entries of denominators d, d + 1 and 7, so the common denominator of
+    # the shifted parameter is an lcm of unequal denominators
+    base = (Fraction(d - 1, d), Fraction(5 - 2 * d, d + 1), Fraction(d - 4, 7))
+    for sign, v in itertools.product((1, -1), LOOPY_DIMS):
+        values = _trace_free(v, [sign * x for x in base])
+        a = StabilityParam.trace_free(LOOPY, v, values)
+        s = poincare_semistable(LOOPY, v, a, 12)
+        assert s.coeffs == reineke_series(LOOPY.edge_indices(), v, values, 12), v
+        # a positive rescaling of the parameter keeps every slope comparison
+        scaled = StabilityParam([Fraction(7, 3) * x for x in values])
+        assert poincare_semistable(LOOPY, v, scaled, 12).coeffs == s.coeffs, v
+
+
+def test_shared_memo_and_reconstruction_on_k3_and_triangle():
+    cases = [
+        (KRONECKER3, (2, 3), (3, -2)),
+        (KRONECKER3, (3, 3), (3, -3)),
+        (TRIANGLE, (2, 2, 2), _trace_free((2, 2, 2), (2, -1, -1))),
+        (TRIANGLE, (1, 2, 1), _trace_free((1, 2, 1), (1, 1, -3))),
+    ]
+    for q, v, values in cases:
+        a = StabilityParam.trace_free(q, v, values)
+        unshared = poincare_semistable(q, v, a, 12).coeffs
+        memo: dict = {}
+        assert poincare_semistable(q, v, a, 0, _memo=memo).coeffs == unshared[:1]
+        assert poincare_semistable(q, v, a, 12, _memo=memo).coeffs == unshared
+        # the shared memo serves every shifted part of every type
+        for t in enumerate_hn_types(q, v, a, include_trivial=False):
+            for part in t:
+                ap = shifted_param(q, part, a)
+                shared = poincare_semistable(q, part, ap, 12, _memo=memo)
+                assert shared.coeffs == poincare_semistable(q, part, ap, 12).coeffs
+        assert reconstruct_BG_check(q, v, a, 12).is_zero()
+
+
+def test_wrong_parameter_length_raises():
+    q, v, _ = a2()
+    for values in ([1, -1, 0], [0]):
+        with pytest.raises(QuiverError, match="length"):
+            poincare_semistable(q, v, StabilityParam(values), 4)
+        with pytest.raises(QuiverError, match="length"):
+            enumerate_hn_types(q, v, StabilityParam(values))

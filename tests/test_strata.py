@@ -2,6 +2,7 @@
 semistability certificate behind them, intertwiner spaces, graded objects,
 and the tangent-space codimension check."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -159,6 +160,21 @@ def test_slope_generic():
 
     assert slope_generic(q, (1, 1), shifted_param(q, (1, 1), a))
     assert not slope_generic(q, (2, 0), shifted_param(q, (2, 0), a))
+
+
+def test_slope_generic_matches_exact_slopes():
+    loopy = Quiver(("1", "2", "3"), (("1", "1"), ("1", "2"), ("1", "2"), ("3", "2")))
+    a = StabilityParam([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)])
+    for v in itertools.product(range(3), repeat=3):
+        if any(v):
+            mu = slope(loopy, v, a)
+            others = (
+                w for w in itertools.product(*(range(x + 1) for x in v)) if 0 < sum(w) < sum(v)
+            )
+            expected = all(slope(loopy, w, a) != mu for w in others)
+            assert slope_generic(loopy, v, a) == expected, v
+    with pytest.raises(QuiverError):
+        slope_generic(loopy, (0, 0, 0), a)
 
 
 def test_graded_object_split_filtration():
