@@ -171,7 +171,10 @@ def _traj_csv(samples, columns) -> str:
 
 
 def _flow_config(args) -> FlowConfig:
-    return FlowConfig(grad_tol=args.tol, max_time=args.max_t)
+    try:
+        return FlowConfig(grad_tol=args.tol, max_time=args.max_t)
+    except ValueError as e:
+        raise InputError(str(e))
 
 
 def cmd_flow(args) -> int:
@@ -246,6 +249,8 @@ def cmd_strata(args) -> int:
 
 def cmd_poincare(args) -> int:
     q, dims, a = load_quiver_file(args.quiver)
+    if args.max_deg < 0:
+        raise InputError("--max-deg must be >= 0")
     s = poincare_semistable(q, dims, a, args.max_deg)
     doc = {"max_degree": s.max_degree, "coefficients": list(s.coeffs)}
     _emit(args.out, json.dumps(doc, indent=2) + "\n")
@@ -288,6 +293,8 @@ def cmd_sigma(args) -> int:
 
 def cmd_hkflow(args) -> int:
     q, dims, a = load_quiver_file(args.quiver)
+    if not args.level_tol > 0:
+        raise InputError("--level-tol must be positive")
     qd = double(q)
     rng = np.random.default_rng(args.seed)
     if args.init is not None:
@@ -322,6 +329,8 @@ def cmd_hkflow(args) -> int:
 
 
 def cmd_checkgrad(args) -> int:
+    if args.trials < 1:
+        raise InputError("--trials must be >= 1")
     names = [args.quiver] if args.quiver else list(BUILTINS)
     rng = np.random.default_rng(args.seed)
     report = {}

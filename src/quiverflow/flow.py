@@ -109,7 +109,7 @@ class FlowError(RuntimeError):
 
 
 class StepUnderflowError(FlowError):
-    """min_step reached without an acceptable step; carries the last state."""
+    """_MIN_STEP reached without an acceptable step; carries the last state."""
 
     def __init__(self, message, t, state):
         super().__init__(message)
@@ -117,28 +117,36 @@ class StepUnderflowError(FlowError):
         self.state = state
 
 
+# step control of _integrate, whose error scale is atol + rtol * ||y||
+_INITIAL_STEP = 1e-2
+_MIN_STEP = 1e-13
+_MAX_STEP = 5.0
+_SAFETY = 0.9
+_RTOL = 1e-10
+_ATOL = 1e-12
+# a gradient dip below _SADDLE_TOL followed by a 10x rise marks a saddle
+# flyby: finite precision cannot track the stratum down to grad_tol
+_SADDLE_TOL = 1e-4
+# the gauge drift ||g(t) . A0 - A(t)|| above which integrate_group_flow warns
+_DRIFT_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class FlowConfig:
+    """Stopping rule and sampling of a flow: stop when ||grad f|| < grad_tol
+    or at t = max_time, and record every sample_stride-th accepted step."""
+
     grad_tol: float = 1e-8
     max_time: float = 1e4
-    initial_step: float = 1e-2
-    min_step: float = 1e-13
-    max_step: float = 5.0
-    safety: float = 0.9
-    rtol: float = 1e-10
-    atol: float = 1e-12
     sample_stride: int = 10
-    drift_tol: float = 1e-5
-    # a gradient dip below saddle_tol followed by a 10x rise marks a flyby of
-    # a non-minimal critical point; finite precision cannot track the
-    # measure-zero stratum all the way down to grad_tol
-    saddle_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step):
-            raise ValueError("require 0 < min_step <= initial_step <= max_step")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
+        if not self.max_time > 0:
+            raise ValueError("max_time must be positive")
+        if self.sample_stride < 1:
+            raise ValueError("sample_stride must be >= 1")
 
 
 @dataclass
@@ -246,7 +254,7 @@ def _integrate(
     the FSAL stage of each trial step, the new point, and no other stage.
     on_sample(t, y, f, gnorm) is called on the initial state, every
     sample_stride-th accepted step, and the final state. The first state
-    whose running-minimum gradient norm drops below saddle_tol and is later
+    whose running-minimum gradient norm drops below _SADDLE_TOL and is later
     exceeded tenfold gets locked as the dip record (saddle flyby).
 
     The flow stops at the first state, the initial one or an accepted one,
@@ -257,7 +265,7 @@ def _integrate(
     t = 0.0
     y = y0.astype(complex)
     y_norm = _norm(y)
-    h = cfg.initial_step
+    h = _INITIAL_STEP
     stage, measure = system
     K = np.empty((13, y.size), dtype=complex)
     Y = np.empty_like(K)
@@ -274,7 +282,7 @@ def _integrate(
         if fs < stop_below or t >= cfg.max_time:
             converged = False
             break
-        h = min(h, cfg.max_step, cfg.max_time - t)
+        h = min(h, _MAX_STEP, cfg.max_time - t)
         hA = h * _A_C
         # overflow in a rejected trial step is harmless: a non-finite error
         # estimate fails the acceptance test below and the step is halved
@@ -290,7 +298,7 @@ def _integrate(
             err = h * n5 / math.sqrt(denom) if denom else 0.0
             y_new_norm = _norm(Y[12])
         stats.n_rhs += 12
-        scale = cfg.atol + cfg.rtol * max(y_norm, y_new_norm)
+        scale = _ATOL + _RTOL * max(y_norm, y_new_norm)
         # a norm that overflows leaves scale infinite or NaN and no error
         # control: such a trial is non-finite whatever err says
         finite = math.isfinite(err) and math.isfinite(f_new) and math.isfinite(y_new_norm)
@@ -305,11 +313,11 @@ def _integrate(
             stats.h_max = max(stats.h_max, h)
             if g < run_min[0]:
                 run_min = (g, y, t, fs)
-            elif dip is None and run_min[0] < cfg.saddle_tol and g > 10 * run_min[0]:
+            elif dip is None and run_min[0] < _SADDLE_TOL and g > 10 * run_min[0]:
                 dip = run_min
             if stats.n_accepted % cfg.sample_stride == 0:
                 on_sample(t, y, fs, g)
-            fac = min(5.0, cfg.safety * (scale / err) ** 0.125) if err > 0 else 5.0
+            fac = min(5.0, _SAFETY * (scale / err) ** 0.125) if err > 0 else 5.0
             dk, dy = _norm(K[12] - K[11]), _norm(Y[12] - Y[11])
             # kappa / (h rho) < fac with rho = dk / dy, safe when dk = 0
             if _STIFF_KAPPA * dy < fac * h * dk:
@@ -330,8 +338,8 @@ def _integrate(
             if err <= scale or not finite:
                 h *= 0.5
             else:
-                h *= max(0.1, min(0.5, cfg.safety * (scale / err) ** 0.125))
-            if h < cfg.min_step:
+                h *= max(0.1, min(0.5, _SAFETY * (scale / err) ** 0.125))
+            if h < _MIN_STEP:
                 raise StepUnderflowError(
                     f"step size underflow at t={t:.6g} (f={fs:.6g})", t, y
                 )
@@ -481,7 +489,7 @@ def integrate_group_flow(
 
     Returns the flow result, the final gauge element, and the sampled gauge
     curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
-    exceeds drift_tol at any sample."""
+    exceeds _DRIFT_TOL at any sample."""
     gauge_curve: list[tuple[float, list[np.ndarray]]] = []
     max_drift = 0.0
 
@@ -492,7 +500,7 @@ def integrate_group_flow(
         gauge_curve.append((t, gb))
 
     result, gb = integrate_gauge(q, A0, a, cfg, on_sample=on_sample)
-    if max_drift > cfg.drift_tol:
+    if max_drift > _DRIFT_TOL:
         result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
     return result, GaugeElement(gb), gauge_curve
 

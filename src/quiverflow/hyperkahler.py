@@ -12,7 +12,7 @@ import numpy as np
 from .flow import FlowConfig, FlowResult, integrate_flow
 from .quiver import Quiver, QuiverError, StabilityParam
 from .repspace import Representation, rep_norm
-from .strata import CriticalType, classify_critical
+from .strata import CriticalType, classify_critical, _block_matrices, _noise
 
 
 class LevelError(RuntimeError):
@@ -121,24 +121,13 @@ def lt_perturbation(
 ) -> list[np.ndarray]:
     """Random perturbation of the doubled representation supported on the
     strictly lower-triangular blocks of the critical filtration (maps from
-    higher-slope summands to lower-slope ones), expressed in the original
-    coordinates."""
+    higher-slope summands to lower-slope ones), drawn in the filtration's
+    coordinates and mapped back to the original ones."""
     qd = double(dr.base)
-    L = len(crit.hn_type)
-    out = []
-    for (out_i, in_i), m in zip(qd.edge_indices(), dr.rep.mats):
-        d = np.zeros_like(m)
-        for s in range(L):
-            for t in range(s):
-                # row cluster s strictly below column cluster t
-                u_in = crit.bases[s][in_i]
-                u_out = crit.bases[t][out_i]
-                shape = (u_in.shape[1], u_out.shape[1])
-                if shape[0] and shape[1]:
-                    blk = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                    d += u_in @ blk @ u_out.conj().T
-        out.append(d)
-    return out
+    lower = _block_matrices(
+        qd, crit.hn_type, lambda e, s, t, shape: _noise(rng, shape, scale) if s > t else None
+    )
+    return crit.from_coordinates(qd, lower)
 
 
 def level_linearization_residual(

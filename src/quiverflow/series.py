@@ -39,6 +39,7 @@ from .quiver import (
     enumerate_hn_types,
     rank,
     shifted_param,
+    slope,
 )
 
 SCoeffs = tuple[int, ...]  # coefficients in s = t^2, no trailing zero
@@ -194,7 +195,8 @@ def poincare_semistable(
     the dot product of w's Euler row with u - w. No Fraction is built per
     sub-vector. P_ss is kept per index and R per (index, level) within the
     call; only a caller-shared `_memo` keys P_ss on exact (w, a_w,
-    max_degree), so it serves calls on other dimension vectors and degrees.
+    max_degree), so it serves calls on other dimension vectors and degrees,
+    and a call whose (v, a_v, max_degree) it holds builds no lattice.
     Both are trimmed s-coefficient tuples, the zero series is (), and each
     term is accumulated in place by `_mac`.
 
@@ -207,6 +209,14 @@ def poincare_semistable(
     if rank(v) < 1:
         raise ValueError("rank must be >= 1")
     a = StabilityParam(a)
+
+    def key(vec, mu):
+        return (vec, tuple(x - mu for x in a.values), max_degree)
+
+    if _memo is not None:
+        known = _memo.get(key(v, slope(q, v, a)))
+        if known is not None:
+            return TruncatedSeries._from_s(max_degree, known)
     lat = _Lattice(q, v, a)
     vecs, levels, rows = lat.vecs, lat.levels, lat.rows
     top = max_degree // 2  # truncation degree in s
@@ -256,10 +266,10 @@ def poincare_semistable(
             if _memo is None:
                 found[w] = compute(w)
             else:
-                key = (vecs[w], tuple(x - lat.slope(w) for x in a.values), max_degree)
-                if key not in _memo:
-                    _memo[key] = compute(w)
-                found[w] = _memo[key]
+                k = key(vecs[w], lat.slope(w))
+                if k not in _memo:
+                    _memo[k] = compute(w)
+                found[w] = _memo[k]
         return found[w]
 
     return TruncatedSeries._from_s(max_degree, ss(len(vecs) - 1))

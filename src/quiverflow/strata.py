@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, FlowResult, integrate_flow, integrate_gauge
+from .flow import FlowConfig, FlowError, FlowResult, integrate_flow, integrate_gauge, _SADDLE_TOL
 from .quiver import (
     HNType,
     Quiver,
@@ -63,6 +63,29 @@ def _part_labels(hn_type: HNType) -> list[np.ndarray]:
     """Per vertex, the part index of each coordinate of the same layout."""
     parts = np.array(hn_type)
     return [np.repeat(np.arange(len(parts)), parts[:, l]) for l in range(parts.shape[1])]
+
+
+def _block_matrices(q: Quiver, hn_type: HNType, block) -> list[np.ndarray]:
+    """Per-edge matrices in the block layout of `hn_type`, zero but where
+    block(e, s, t, shape) returns the block of edge e with rows in part s and
+    columns in part t. Each edge's nonempty blocks are visited in row-major
+    (s, t) order, so draws made inside `block` come in that order."""
+    off = _part_offsets(hn_type)
+    mats = []
+    for e, (out_i, in_i) in enumerate(q.edge_indices()):
+        m = np.zeros((off[-1, in_i], off[-1, out_i]), dtype=complex)
+        for s, t in np.ndindex(len(hn_type), len(hn_type)):
+            shape = (hn_type[s][in_i], hn_type[t][out_i])
+            b = block(e, s, t, shape) if shape[0] and shape[1] else None
+            if b is not None:
+                m[off[s, in_i] : off[s + 1, in_i], off[t, out_i] : off[t + 1, out_i]] = b
+        mats.append(m)
+    return mats
+
+
+def _noise(rng: np.random.Generator, shape: tuple[int, int], scale: float) -> np.ndarray:
+    """A complex Gaussian block of the given shape and scale."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @dataclass
@@ -218,8 +241,8 @@ def refine_critical(
         if res.final_f > 1e-12:
             raise FlowError(f"diagonal block of dimension {part} did not reach the zero level")
         diag.append(res.final.mats)
-    out = filt.from_coordinates(q, _assemble_blocks(q, filt.hn_type, diag))
-    return Representation(q, A.dims, out)
+    blocks = _block_matrices(q, filt.hn_type, lambda e, s, t, _: diag[s][e] if s == t else None)
+    return Representation(q, A.dims, filt.from_coordinates(q, blocks))
 
 
 def critical_of_flow(
@@ -236,9 +259,7 @@ def critical_of_flow(
     reason is recorded in res.fallback_reason."""
     if res.dip_state is not None:
         try:
-            crit = classify_critical(
-                q, res.dip_state, a, cluster_tol, grad_tol=cfg.saddle_tol
-            )
+            crit = classify_critical(q, res.dip_state, a, cluster_tol, grad_tol=_SADDLE_TOL)
             A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
             crit2 = classify_critical(q, A_ref, a, cluster_tol, cfg.grad_tol)
             if crit2.hn_type == crit.hn_type:
@@ -383,7 +404,10 @@ def certify_semistable(
     res = integrate_flow(q, B, a, cfg, stop_below=level)
     cert = GapCertificate(gap, level, res.elapsed, res.final_f)
     if res.final_f < level:
-        _, g = integrate_gauge(q, B, a, replace(cfg, max_time=res.elapsed), stop_below=level)
+        # a start already below the level takes no step, and g is the identity
+        g = [np.eye(d, dtype=complex) for d in B.dims]
+        if res.elapsed > 0:
+            _, g = integrate_gauge(q, B, a, replace(cfg, max_time=res.elapsed), stop_below=level)
         inv = [np.linalg.inv(b) for b in g]
         gB = [g[in_i] @ m @ inv[out_i] for (out_i, in_i), m in zip(q.edge_indices(), B.mats)]
         cert.witness_f = f_value(q, B.with_mats(gB), a)
@@ -432,53 +456,6 @@ def sample_semistable(
     )
 
 
-def _assemble_blocks(
-    q: Quiver,
-    hn_type: HNType,
-    diag: Sequence[Sequence[np.ndarray]],
-    eta: Sequence[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Per-edge block matrices in the coordinate filtration of `hn_type`:
-    diag[s][e] is the diagonal block of part s at edge e, laid over `eta`
-    (per-edge full matrices, copied) or over zeros."""
-    off = _part_offsets(hn_type)
-    mats = []
-    for e_i, (out_i, in_i) in enumerate(q.edge_indices()):
-        m = (
-            eta[e_i].copy()
-            if eta is not None
-            else np.zeros((off[-1, in_i], off[-1, out_i]), dtype=complex)
-        )
-        for s, blocks in enumerate(diag):
-            m[off[s, in_i] : off[s + 1, in_i], off[s, out_i] : off[s + 1, out_i]] = blocks[e_i]
-        mats.append(m)
-    return mats
-
-
-def _upper_triangular_noise(
-    q: Quiver,
-    hn_type: HNType,
-    rng: np.random.Generator,
-    scale: float,
-) -> list[np.ndarray]:
-    """Per-edge matrices supported on the strictly upper blocks (maps from
-    lower-slope summands into higher-slope ones, preserving the filtration)."""
-    L = len(hn_type)
-    off = _part_offsets(hn_type)
-    out = []
-    for out_i, in_i in q.edge_indices():
-        m = np.zeros((off[-1, in_i], off[-1, out_i]), dtype=complex)
-        for j in range(L):
-            for k in range(j + 1, L):
-                shape = (hn_type[j][in_i], hn_type[k][out_i])
-                if shape[0] and shape[1]:
-                    m[off[j, in_i] : off[j + 1, in_i], off[k, out_i] : off[k + 1, out_i]] = (
-                        scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                    )
-        out.append(m)
-    return out
-
-
 def make_hn_example(
     q: Quiver,
     hn_type: HNType,
@@ -512,9 +489,15 @@ def make_hn_example(
         sample_semistable(q, part, a_s, rng, cfg, max_attempts, _known_nonempty=True)
         for part, a_s in zip(hn_type, shifted)
     ]
-    diag_norm = max(1.0, max(B.norm() for B in diag))
-    eta = _upper_triangular_noise(q, hn_type, rng, eta_scale * diag_norm)
-    A = Representation(q, dims, _assemble_blocks(q, hn_type, [B.mats for B in diag], eta))
+    scale = eta_scale * max(1.0, max(B.norm() for B in diag))
+
+    def block(e, s, t, shape):
+        # the semistable draws on the diagonal, random extensions above it
+        if s < t:
+            return _noise(rng, shape, scale)
+        return diag[s].mats[e] if s == t else None
+
+    A = Representation(q, dims, _block_matrices(q, hn_type, block))
     return A, Filtration.coordinate(dims, hn_type)
 
 

@@ -266,3 +266,23 @@ def test_exit_code_1_on_off_level_init(tmp_path):
     p = run_cli("hkflow", "--quiver", "star21", "--init", str(init))
     assert p.returncode == 1
     assert json.loads(p.stderr)["error"] == "LevelError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poincare", "--quiver", "a2", "--max-deg", "-1"],
+        ["flow", "--quiver", "a2", "--tol", "0"],
+        ["sigma", "--quiver", "a2", "--tol", "0"],
+        ["flow", "--quiver", "a2", "--max-t", "-1"],
+        ["hkflow", "--quiver", "a2", "--level-tol", "-1"],
+        ["checkgrad", "--trials", "0"],
+    ],
+    ids=["max-deg", "flow-tol", "sigma-tol", "max-t", "level-tol", "trials"],
+)
+def test_exit_code_2_on_bad_numeric_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "input_error"

@@ -28,10 +28,11 @@ from conftest import random_unitary_gauge
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(min_step=1.0, initial_step=0.1)
-    with pytest.raises(ValueError):
-        FlowConfig(grad_tol=0)
+    for bad in ({"grad_tol": 0}, {"max_time": 0}, {"max_time": -1.0},
+                {"max_time": float("nan")}, {"sample_stride": 0}):
+        with pytest.raises(ValueError):
+            FlowConfig(**bad)
+    assert FlowConfig(max_time=float("inf"), sample_stride=1).sample_stride == 1
 
 
 def test_a2_closed_form_limit():
@@ -111,7 +112,7 @@ def test_flow_stats_fsal_invariant():
         rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
         assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
         assert st.n_accepted > 0 and st.n_rejected_err > 0
-        assert 0 < st.h_min <= st.h_max <= FlowConfig().max_step
+        assert 0 < st.h_min <= st.h_max <= flow._MAX_STEP
         assert 0 <= st.n_stiff_capped <= st.n_accepted
 
 
@@ -200,7 +201,7 @@ def test_norm_overflow_ends_in_step_underflow():
 
     with pytest.raises(flow.StepUnderflowError) as exc:
         flow._integrate((stage, lambda k: (0.0, 1.0)), np.array([1.0]),
-                        FlowConfig(max_time=400, max_step=50), lambda *args: None)
+                        FlowConfig(max_time=400), lambda *args: None)
     assert isinstance(exc.value, flow.FlowError)
     assert np.isfinite(flow._norm(exc.value.state))
     assert exc.value.t < 400

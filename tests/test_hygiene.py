@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every function the benchmark's tracer wraps exists."""
+"""Source hygiene: every name a package module imports is used in it, every
+module-level private name is read somewhere in the package, and every
+function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -30,6 +31,37 @@ def test_no_unused_imports():
     assert modules
     unused = [u for p in modules for u in unused_imports(p)]
     assert unused == []
+
+
+def private_names(path: Path) -> list[str]:
+    """Module-level private functions, classes and constants of a module."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(path: Path) -> set[str]:
+    """Names an expression of the module reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_no_unread_private_names():
+    modules = sorted(SRC.glob("*.py"))
+    read = set().union(*(read_names(p) for p in modules))
+    private = {p.name: private_names(p) for p in modules}
+    assert any(private.values())
+    assert [f"{m}: {n}" for m, names in private.items() for n in names if n not in read] == []
 
 
 def test_traced_names_exist():

@@ -167,3 +167,24 @@ def test_linearization_rejects_long_filtrations():
     delta = [np.zeros_like(m) for m in rep.mats]
     with pytest.raises(FiltrationLengthError):
         level_linearization_residual(dr, a, delta)
+
+
+def test_lt_perturbation_length_three():
+    # the zero representation of the doubled path 1 -> 2 -> 3 has a
+    # length-3 critical filtration; the draw lies strictly below its
+    # diagonal blocks, on the original edges, in the filtration's coordinates
+    q = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    v = (1, 1, 1)
+    a = StabilityParam.trace_free(q, v, [2, 0, -2])
+    qd = double(q)
+    rep = Representation.zero(qd, v)
+    crit = classify_critical(qd, rep, a)
+    assert len(crit.hn_type) == 3
+    delta = lt_perturbation(DoubledRep(q, rep), crit, np.random.default_rng(0))
+    # each vertex is one dimension, so it lies in exactly one part
+    part = {l: s for s, p in enumerate(crit.hn_type) for l, d in enumerate(p) if d}
+    for (out_i, in_i), r in zip(qd.edge_indices(), crit.coordinates(qd, delta)):
+        if part[in_i] > part[out_i]:
+            assert np.all(r != 0)
+        else:
+            assert np.all(r == 0)

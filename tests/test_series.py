@@ -27,6 +27,7 @@ from quiverflow import (
     shifted_param,
     star21,
 )
+from quiverflow import series
 
 KRONECKER3 = Quiver(("1", "2"), (("1", "2"),) * 3)
 TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
@@ -319,6 +320,28 @@ def test_shared_memo_and_reconstruction_on_k3_and_triangle():
                 shared = poincare_semistable(q, part, ap, 12, _memo=memo)
                 assert shared.coeffs == poincare_semistable(q, part, ap, 12).coeffs
         assert reconstruct_BG_check(q, v, a, 12).is_zero()
+
+
+def test_shared_memo_hit_builds_no_lattice(monkeypatch):
+    # a call whose (v, a - mu(v), max_degree) the memo holds returns before
+    # the lattice is built, so the whole-type check builds one, for v itself
+    built = []
+
+    class Counted(series._Lattice):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(series, "_Lattice", Counted)
+    for v in [(4, 5), (5, 5)]:
+        a = StabilityParam.trace_free(KRONECKER3, v, (v[1], -v[0]))
+        built.clear()
+        assert reconstruct_BG_check(KRONECKER3, v, a, 24).is_zero()
+        assert built == [v]
+        # without a shared memo every call builds its own lattice
+        part = (1, 1)
+        poincare_semistable(KRONECKER3, part, shifted_param(KRONECKER3, part, a), 24)
+        assert built == [v, part]
 
 
 def test_wrong_parameter_length_raises():

@@ -31,6 +31,7 @@ from quiverflow import (
     grad_norm,
     hn_type_by_flow,
     hom_space,
+    integrate_flow,
     is_isomorphic,
     jordan2,
     make_critical_point,
@@ -451,6 +452,21 @@ def test_make_hn_example_triangle_coverage(monkeypatch):
     assert (built, empty) == (38, 22)
 
 
+def test_make_hn_example_length_three_is_block_upper_triangular():
+    # a length-3 triangle type: the diagonal blocks are the semistable
+    # draws, the extensions lie above them, and nothing lies below
+    v, t = (2, 2, 2), ((1, 0, 1), (1, 1, 1), (0, 1, 0))
+    A, filt = make_hn_example(TRIANGLE, t, triangle_param(v), seed=0)
+    assert filt.hn_type == t
+    lab = strata._part_labels(t)
+    upper = 0.0
+    for (out_i, in_i), r in zip(TRIANGLE.edge_indices(), filt.coordinates(TRIANGLE, A.mats)):
+        rows, cols = lab[in_i][:, None], lab[out_i][None, :]
+        assert np.all(r[rows > cols] == 0)
+        upper += np.abs(r[rows < cols]).sum()
+    assert upper > 0
+
+
 def gap_cases():
     """(quiver, v, parameter, type, seed) of constructed unstable instances:
     every non-trivial star type at v = (2,1)..(4,1) and every nonempty
@@ -502,6 +518,17 @@ def test_gap_certificate_accepts_random_starts():
             cert = certify_semistable(q, Representation.random(q, v, rng), a, gap)
             assert cert.certified and cert.t < 2.0
             assert cert.witness_f == pytest.approx(cert.f, rel=1e-8)
+
+
+def test_gap_certificate_at_a_start_below_the_gap():
+    # a start already below the level takes no step: the witness is g = id
+    q = star21()[0]
+    v = (2, 1)
+    a = two_filtered_param(q, v, "inf", -1)
+    B = integrate_flow(q, Representation.random(q, v, np.random.default_rng(0)), a).final
+    cert = certify_semistable(q, B, a, semistable_gap(q, v, a))
+    assert cert.certified and cert.t == 0.0
+    assert cert.witness_cond == 1.0 and cert.witness_f == cert.f
 
 
 def test_sample_semistable_trivial_part_single_draw(monkeypatch):
