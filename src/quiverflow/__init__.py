@@ -22,7 +22,6 @@ from .quiver import (
 )
 from .repspace import (
     GaugeElement,
-    LieElement,
     Representation,
     act,
     f_value,

@@ -222,6 +222,8 @@ def cmd_flow(args) -> int:
 
 def cmd_strata(args) -> int:
     q, dims, a = load_quiver_file(args.quiver)
+    if args.max_length is not None and args.max_length < 1:
+        raise InputError("--max-length must be >= 1")
     memo: dict = {}
 
     def empty(part) -> bool:
@@ -411,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every command with a --seed hands it to numpy.random.default_rng
+        if getattr(args, "seed", 0) < 0:
+            raise InputError("--seed must be >= 0")
         return args.func(args)
     except (InputError, QuiverError) as e:
         name = "trace_free_violation" if "trace_free_violation" in str(e) else "input_error"

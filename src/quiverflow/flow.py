@@ -483,9 +483,9 @@ def integrate_group_flow(
     q: Quiver,
     A0: Representation,
     a: StabilityParam,
-    cfg: FlowConfig = FlowConfig(),
 ) -> tuple[FlowResult, GaugeElement, list[tuple[float, list[np.ndarray]]]]:
-    """The co-integrated flow of integrate_gauge, with g checked.
+    """The co-integrated flow of integrate_gauge under the default FlowConfig,
+    with g checked.
 
     Returns the flow result, the final gauge element, and the sampled gauge
     curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
@@ -499,7 +499,7 @@ def integrate_group_flow(
         max_drift = max(max_drift, drift)
         gauge_curve.append((t, gb))
 
-    result, gb = integrate_gauge(q, A0, a, cfg, on_sample=on_sample)
+    result, gb = integrate_gauge(q, A0, a, on_sample=on_sample)
     if max_drift > _DRIFT_TOL:
         result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
     return result, GaugeElement(gb), gauge_curve

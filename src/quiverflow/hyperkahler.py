@@ -134,8 +134,6 @@ def level_linearization_residual(
     dr: DoubledRep,
     a: StabilityParam,
     delta: Sequence[np.ndarray],
-    cluster_tol: float = 1e-4,
-    grad_tol: float = 1e-8,
 ) -> float:
     """Norm of the quadratic remainder of Phi_C at a critical (A, B) with
     filtration length <= 2:
@@ -147,7 +145,7 @@ def level_linearization_residual(
     It vanishes for strictly lower-triangular perturbations when the length
     is 2."""
     qd = double(dr.base)
-    crit = classify_critical(qd, dr.rep, a, cluster_tol, grad_tol)
+    crit = classify_critical(qd, dr.rep, a)
     if len(crit.hn_type) > 2:
         raise FiltrationLengthError(
             f"critical filtration has length {len(crit.hn_type)} > 2"

@@ -18,6 +18,13 @@ import numpy as np
 
 from .quiver import Quiver, QuiverError, StabilityParam
 
+# a gauge block is singular above condition number _COND_BOUND, and a block
+# claimed unitary must satisfy ||b* b - id|| <= _UNITARY_TOL
+_COND_BOUND = 1e12
+_UNITARY_TOL = 1e-8
+# the central-difference step of finite_difference_check
+_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -56,13 +63,13 @@ class Representation:
 
     @classmethod
     def random(
-        cls, quiver: Quiver, dims: Sequence[int], rng: np.random.Generator, scale: float = 1.0
+        cls, quiver: Quiver, dims: Sequence[int], rng: np.random.Generator
     ) -> "Representation":
         dims = quiver.check_dims(dims)
         mats = []
         for out_i, in_i in quiver.edge_indices():
             shape = (dims[in_i], dims[out_i])
-            mats.append(scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+            mats.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return cls(quiver, dims, mats)
 
     def norm(self) -> float:
@@ -90,16 +97,15 @@ class GaugeElement:
     blocks: tuple[np.ndarray, ...]
     unitary: bool = False
 
-    def __init__(self, blocks: Sequence[np.ndarray], unitary: bool = False,
-                 cond_bound: float = 1e12, unitary_tol: float = 1e-8):
+    def __init__(self, blocks: Sequence[np.ndarray], unitary: bool = False):
         blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
         for b in blocks:
             if b.shape[0] != b.shape[1]:
                 raise QuiverError("gauge blocks must be square")
-            if b.size and np.linalg.cond(b) > cond_bound:
+            if b.size and np.linalg.cond(b) > _COND_BOUND:
                 raise QuiverError("gauge block is numerically singular")
             if unitary and b.size:
-                if np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0])) > unitary_tol:
+                if np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0])) > _UNITARY_TOL:
                     raise QuiverError("block fails the unitarity tolerance")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "unitary", unitary)
@@ -110,34 +116,6 @@ class GaugeElement:
 
     def inverse_blocks(self) -> tuple[np.ndarray, ...]:
         return tuple(np.linalg.inv(b) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Per-vertex complex matrix u_l (an element of the gauge Lie algebra or
-    its complexification)."""
-
-    blocks: tuple[np.ndarray, ...]
-    skew_hermitian: bool = False
-
-    def __init__(self, blocks: Sequence[np.ndarray], skew_hermitian: bool = False,
-                 tol: float = 1e-8):
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-        for b in blocks:
-            if b.shape[0] != b.shape[1]:
-                raise QuiverError("Lie algebra blocks must be square")
-            if skew_hermitian and b.size:
-                if np.linalg.norm(b + b.conj().T) > tol:
-                    raise QuiverError("block fails the skew-hermitian tolerance")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "skew_hermitian", skew_hermitian)
-
-
-@dataclass(frozen=True)
-class ShiftedMoment:
-    """Per-vertex Hermitian matrices H_l = i(Phi_l(A) - alpha_l id)."""
-
-    blocks: tuple[np.ndarray, ...]
 
 
 class BlockEmbedding:
@@ -234,10 +212,10 @@ def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
     return tuple(-1j * (0.5 * b) for b in emb.vertex_blocks(H2))
 
 
-def shifted_moment(q: Quiver, A: Representation, a: StabilityParam) -> ShiftedMoment:
-    """H_l = i*Phi_l(A) - a_l*id (Hermitian)."""
+def shifted_moment(q: Quiver, A: Representation, a: StabilityParam) -> tuple[np.ndarray, ...]:
+    """Per-vertex Hermitian blocks H_l = i*Phi_l(A) - a_l*id."""
     emb, (H2, _) = _evaluate(q, A, a)
-    return ShiftedMoment(tuple(0.5 * b for b in emb.vertex_blocks(H2)))
+    return tuple(0.5 * b for b in emb.vertex_blocks(H2))
 
 
 def f_value(q: Quiver, A: Representation, a: StabilityParam) -> float:
@@ -269,11 +247,12 @@ def act(g: GaugeElement, A: Representation) -> Representation:
     return A.with_mats(mats)
 
 
-def rho(A: Representation, u: LieElement) -> list[np.ndarray]:
-    """Infinitesimal action: rho(A, u)_a = u_in(a) A_a - A_a u_out(a)."""
+def rho(A: Representation, u: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Infinitesimal action of the per-vertex blocks u_l of a gauge Lie
+    algebra element: rho(A, u)_a = u_in(a) A_a - A_a u_out(a)."""
     out = []
     for (out_i, in_i), m in zip(A.quiver.edge_indices(), A.mats):
-        out.append(u.blocks[in_i] @ m - m @ u.blocks[out_i])
+        out.append(u[in_i] @ m - m @ u[out_i])
     return out
 
 
@@ -284,7 +263,6 @@ def finite_difference_check(
     rng: np.random.Generator,
     n_points: int = 20,
     n_dirs: int = 20,
-    h: float = 1e-5,
 ) -> float:
     """Max relative error between the analytic gradient pairing and a central
     finite difference of f over random points and directions."""
@@ -297,19 +275,20 @@ def finite_difference_check(
             d = Representation.random(q, dims, rng).mats
             dn = rep_norm(d)
             d = [m / dn for m in d]
-            plus = A.with_mats([m + h * x for m, x in zip(A.mats, d)])
-            minus = A.with_mats([m - h * x for m, x in zip(A.mats, d)])
-            fd = (f_value(q, plus, a) - f_value(q, minus, a)) / (2 * h)
+            plus = A.with_mats([m + _FD_STEP * x for m, x in zip(A.mats, d)])
+            minus = A.with_mats([m - _FD_STEP * x for m, x in zip(A.mats, d)])
+            fd = (f_value(q, plus, a) - f_value(q, minus, a)) / (2 * _FD_STEP)
             analytic = -rep_inner(g, d)
             err = abs(fd - analytic) / max(1.0, gn)
             worst = max(worst, err)
     return worst
 
 
-def rho_adjoint(A: Representation, tangent: Sequence[np.ndarray]) -> LieElement:
-    """Metric adjoint of rho(A, .): Re<rho(A,u), X> = Re<u, rho_adjoint(A,X)>."""
+def rho_adjoint(A: Representation, tangent: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Metric adjoint of rho(A, .), as per-vertex blocks:
+    Re<rho(A,u), X> = Re<u, rho_adjoint(A,X)>."""
     blocks = [np.zeros((d, d), dtype=complex) for d in A.dims]
     for (out_i, in_i), m, x in zip(A.quiver.edge_indices(), A.mats, tangent):
         blocks[in_i] += x @ m.conj().T
         blocks[out_i] -= m.conj().T @ x
-    return LieElement(tuple(blocks))
+    return tuple(blocks)

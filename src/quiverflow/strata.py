@@ -40,7 +40,8 @@ class ClassificationError(RuntimeError):
 
 class ClusterAmbiguityError(ClassificationError):
     """Two eigenvalue clusters are separated by a gap in the ambiguous band
-    [cluster_tol, 2*cluster_tol); retry with a different tolerance."""
+    [_CLUSTER_TOL, 2*_CLUSTER_TOL): the input is too far from a critical point
+    for its eigenvalues to cluster unambiguously."""
 
 
 class SlopeMismatchError(ClassificationError):
@@ -50,6 +51,24 @@ class SlopeMismatchError(ClassificationError):
 
 class ConstructionError(RuntimeError):
     pass
+
+
+# eigenvalues of the shifted moment closer than _CLUSTER_TOL share a cluster;
+# clusters, slopes and off-diagonal blocks are all judged on this scale
+_CLUSTER_TOL = 1e-4
+# a filtration level is invariant when its block into the levels above has
+# norm below _INVARIANCE_TOL
+_INVARIANCE_TOL = 1e-8
+# relative singular-value cutoffs of the intertwiner system: hom_space's
+# nullspace and tangent_decomposition's kernel of rho^C; tangent_decomposition
+# also takes its input as critical on the scale of _TANGENT_GRAD_TOL
+_HOM_RANK_TOL = 1e-10
+_TANGENT_RANK_TOL = 1e-8
+_TANGENT_GRAD_TOL = 1e-8
+# is_isomorphic draws _ISO_TRIALS random intertwiners and accepts one whose
+# blocks all have condition number at most _ISO_COND_BOUND
+_ISO_TRIALS = 20
+_ISO_COND_BOUND = 1e8
 
 
 def _part_offsets(hn_type: HNType) -> np.ndarray:
@@ -144,7 +163,6 @@ def classify_critical(
     q: Quiver,
     A: Representation,
     a: StabilityParam,
-    cluster_tol: float = 1e-4,
     grad_tol: float = 1e-8,
 ) -> CriticalType:
     """Classify a numerically critical representation by eigendecomposing the
@@ -153,7 +171,7 @@ def classify_critical(
     vector."""
     if grad_norm(q, A, a) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
-    H = shifted_moment(q, A, a).blocks
+    H = shifted_moment(q, A, a)
     eigs, vecs = [], []
     for b in H:
         if b.size:
@@ -166,33 +184,33 @@ def classify_critical(
     if all_eigs.size == 0:
         raise ClassificationError("empty representation space")
 
-    # chain-cluster with threshold cluster_tol, then demand a 2*cluster_tol
+    # chain-cluster with threshold _CLUSTER_TOL, then demand a 2*_CLUSTER_TOL
     # separation between clusters so no silent misclustering is possible
     clusters: list[list[float]] = [[all_eigs[0]]]
     for x in all_eigs[1:]:
-        if x - clusters[-1][-1] < cluster_tol:
+        if x - clusters[-1][-1] < _CLUSTER_TOL:
             clusters[-1].append(x)
         else:
             clusters.append([x])
     for c1, c2 in zip(clusters, clusters[1:]):
         gap = c2[0] - c1[-1]
-        if gap < 2 * cluster_tol:
+        if gap < 2 * _CLUSTER_TOL:
             raise ClusterAmbiguityError(
-                f"eigenvalue gap {gap:.3g} in [{cluster_tol:.3g}, {2*cluster_tol:.3g}); "
-                "change cluster_tol"
+                f"eigenvalue gap {gap:.3g} in [{_CLUSTER_TOL:.3g}, {2*_CLUSTER_TOL:.3g}); "
+                "the eigenvalue clusters are ambiguous"
             )
     centers = [float(np.mean(c)) for c in clusters]
 
     bases, parts = [], []
     for cluster, center in zip(clusters, centers):
-        sel = [np.abs(w - center) < cluster_tol * len(cluster) for w in eigs]
+        sel = [np.abs(w - center) < _CLUSTER_TOL * len(cluster) for w in eigs]
         bases.append(tuple(u[:, m] for u, m in zip(vecs, sel)))
         parts.append(tuple(int(np.count_nonzero(m)) for m in sel))
     hn_type = tuple(parts)
 
     for center, part in zip(centers, hn_type):
         mu = float(slope(q, part, a))
-        if abs(center + mu) >= 100 * cluster_tol:
+        if abs(center + mu) >= 100 * _CLUSTER_TOL:
             raise SlopeMismatchError(
                 f"cluster eigenvalue {center:.6g} != -slope {-mu:.6g}: "
                 "not a critical point of this functional"
@@ -207,7 +225,7 @@ def classify_critical(
     for (out_i, in_i), r in zip(q.edge_indices(), crit.coordinates(q, A.mats)):
         block = (lab[in_i][:, None] * L + lab[out_i][None, :]).ravel()
         sq = np.bincount(block, weights=np.abs(r.ravel()) ** 2, minlength=L * L)
-        if np.any(np.sqrt(sq[off_diag]) >= cluster_tol):
+        if np.any(np.sqrt(sq[off_diag]) >= _CLUSTER_TOL):
             raise ClassificationError("edge matrix has a non-vanishing off-diagonal block")
     return crit
 
@@ -250,7 +268,6 @@ def critical_of_flow(
     res: FlowResult,
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
-    cluster_tol: float = 1e-4,
 ) -> tuple[Representation, CriticalType]:
     """The critical point a finished flow identifies (see flow_to_critical).
 
@@ -259,9 +276,9 @@ def critical_of_flow(
     reason is recorded in res.fallback_reason."""
     if res.dip_state is not None:
         try:
-            crit = classify_critical(q, res.dip_state, a, cluster_tol, grad_tol=_SADDLE_TOL)
+            crit = classify_critical(q, res.dip_state, a, _SADDLE_TOL)
             A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
-            crit2 = classify_critical(q, A_ref, a, cluster_tol, cfg.grad_tol)
+            crit2 = classify_critical(q, A_ref, a, cfg.grad_tol)
             if crit2.hn_type == crit.hn_type:
                 res.critical_path = "dip"
                 return A_ref, crit2
@@ -273,7 +290,7 @@ def critical_of_flow(
     if not res.converged:
         raise FlowError(f"flow did not converge within max_time={cfg.max_time}")
     res.critical_path = "endpoint"
-    return res.final, classify_critical(q, res.final, a, cluster_tol, cfg.grad_tol)
+    return res.final, classify_critical(q, res.final, a, cfg.grad_tol)
 
 
 def flow_to_critical(
@@ -281,7 +298,6 @@ def flow_to_critical(
     A0: Representation,
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
-    cluster_tol: float = 1e-4,
 ) -> tuple[Representation, CriticalType, FlowResult]:
     """Flow to the first critical point the trajectory identifies.
 
@@ -293,20 +309,14 @@ def flow_to_critical(
     into a genuine critical point, which is the faithful limit. Otherwise the
     converged endpoint is classified directly."""
     res = integrate_flow(q, A0, a, cfg)
-    A, crit = critical_of_flow(q, res, a, cfg, cluster_tol)
+    A, crit = critical_of_flow(q, res, a, cfg)
     return A, crit, res
 
 
-def hn_type_by_flow(
-    q: Quiver,
-    A0: Representation,
-    a: StabilityParam,
-    cfg: FlowConfig = FlowConfig(),
-    cluster_tol: float = 1e-4,
-) -> HNType:
+def hn_type_by_flow(q: Quiver, A0: Representation, a: StabilityParam) -> HNType:
     """Flow to a critical point and classify it: the analytic computation of
     the Harder-Narasimhan type."""
-    return flow_to_critical(q, A0, a, cfg, cluster_tol)[1].hn_type
+    return flow_to_critical(q, A0, a)[1].hn_type
 
 
 def slope_generic(q: Quiver, v: Sequence[int], a: StabilityParam) -> bool:
@@ -464,7 +474,6 @@ def make_hn_example(
     eta_scale: float = 0.5,
     require_stable: bool = False,
     cfg: FlowConfig = FlowConfig(),
-    max_attempts: int = 30,
 ) -> tuple[Representation, Filtration]:
     """Ground-truth instance of a given HN type: block-upper-triangular with
     semistable diagonal blocks (slopes strictly decreasing down the diagonal)
@@ -486,7 +495,7 @@ def make_hn_example(
         _require_nonempty(q, part, a_s)
     rng = np.random.default_rng(seed)
     diag = [
-        sample_semistable(q, part, a_s, rng, cfg, max_attempts, _known_nonempty=True)
+        sample_semistable(q, part, a_s, rng, cfg, _known_nonempty=True)
         for part, a_s in zip(hn_type, shifted)
     ]
     scale = eta_scale * max(1.0, max(B.norm() for B in diag))
@@ -502,27 +511,17 @@ def make_hn_example(
 
 
 def make_critical_point(
-    q: Quiver,
-    hn_type: HNType,
-    a: StabilityParam,
-    seed: int = 0,
-    cfg: FlowConfig = FlowConfig(),
-    max_attempts: int = 30,
+    q: Quiver, hn_type: HNType, a: StabilityParam, seed: int = 0
 ) -> tuple[Representation, Filtration]:
     """Numerically critical representation of the given type: the graded
     object of the ground-truth instance make_hn_example builds from `seed`,
     refined onto the critical set (each diagonal block flowed onto the zero
     level of its slope-shifted functional)."""
-    A, filt = make_hn_example(q, hn_type, a, seed, cfg=cfg, max_attempts=max_attempts)
-    return refine_critical(q, graded_object(q, A, filt), a, filt, cfg), filt
+    A, filt = make_hn_example(q, hn_type, a, seed)
+    return refine_critical(q, graded_object(q, A, filt), a, filt), filt
 
 
-def graded_object(
-    q: Quiver,
-    A: Representation,
-    filt: Filtration,
-    invariance_tol: float = 1e-8,
-) -> Representation:
+def graded_object(q: Quiver, A: Representation, filt: Filtration) -> Representation:
     """Block-diagonal representation of the successive filtration quotients,
     written in the filtration's orthonormal bases. Raises if the filtration is
     not invariant under A: at each level, the block mapping the level into
@@ -534,7 +533,7 @@ def graded_object(
     for level in range(1, len(filt.hn_type)):
         for (out_i, in_i), r in zip(edges, rot):
             resid = r[off[level, in_i] :, : off[level, out_i]]
-            if resid.size and np.linalg.norm(resid) >= invariance_tol:
+            if resid.size and np.linalg.norm(resid) >= _INVARIANCE_TOL:
                 raise QuiverError("filtration is not invariant under the representation")
     mats = [
         np.where(lab[in_i][:, None] == lab[out_i][None, :], r, 0)
@@ -582,9 +581,7 @@ def _intertwiner_matrix(
     return M, offs
 
 
-def hom_space(
-    q: Quiver, B: Representation, C: Representation, rank_tol: float = 1e-10
-) -> HomSpace:
+def hom_space(q: Quiver, B: Representation, C: Representation) -> HomSpace:
     """Solve the homogeneous intertwining system by SVD nullspace. The system
     is _intertwiner_matrix(q, B, C): row-major vec per edge, and one variable
     block per vertex in vertex order."""
@@ -594,7 +591,7 @@ def hom_space(
         return HomSpace(basis=[])
     if M.shape[0]:
         _, s, vh = np.linalg.svd(M)
-        cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
+        cutoff = _HOM_RANK_TOL * max(1.0, s[0] if s.size else 0.0)
         r = int(np.sum(s > cutoff))
         null = vh[r:].conj()
     else:
@@ -617,14 +614,7 @@ class IsoResult:
     hom_dimension: int
 
 
-def is_isomorphic(
-    q: Quiver,
-    B: Representation,
-    C: Representation,
-    trials: int = 20,
-    seed: int = 0,
-    cond_bound: float = 1e8,
-) -> IsoResult:
+def is_isomorphic(q: Quiver, B: Representation, C: Representation, seed: int = 0) -> IsoResult:
     """Randomized certificate test: sample elements of Hom(B, C) and accept
     when every vertex block is invertible. A positive answer carries an
     explicit witness; a negative answer is probabilistic."""
@@ -634,7 +624,7 @@ def is_isomorphic(
     if hom.dimension == 0:
         return IsoResult(False, None, 0, 0)
     rng = np.random.default_rng(seed)
-    for k in range(trials):
+    for k in range(_ISO_TRIALS):
         coeffs = rng.standard_normal(hom.dimension) + 1j * rng.standard_normal(hom.dimension)
         psi = tuple(
             sum(c * b[l] for c, b in zip(coeffs, hom.basis))
@@ -645,12 +635,12 @@ def is_isomorphic(
             if m.size == 0:
                 continue
             s = np.linalg.svd(m, compute_uv=False)
-            if s[-1] <= 0 or s[0] / s[-1] > cond_bound:
+            if s[-1] <= 0 or s[0] / s[-1] > _ISO_COND_BOUND:
                 ok = False
                 break
         if ok:
             return IsoResult(True, psi, k + 1, hom.dimension)
-    return IsoResult(False, None, trials, hom.dimension)
+    return IsoResult(False, None, _ISO_TRIALS, hom.dimension)
 
 
 @dataclass
@@ -666,14 +656,12 @@ def verify_graded_limit(
     A0: Representation,
     a: StabilityParam,
     filt: Filtration,
-    cfg: FlowConfig = FlowConfig(),
-    cluster_tol: float = 1e-4,
     seed: int = 0,
 ) -> GradedLimitReport:
     """Flow A0 to its limit, build the graded object of the construction
     filtration, and compare: the limit must have the construction type and be
     isomorphic (as a quiver representation) to the graded object."""
-    A_inf, crit, _ = flow_to_critical(q, A0, a, cfg, cluster_tol)
+    A_inf, crit, _ = flow_to_critical(q, A0, a)
     graded = graded_object(q, A0, filt)
     iso = is_isomorphic(q, A_inf, graded, seed=seed)
     return GradedLimitReport(
@@ -693,20 +681,18 @@ def tangent_decomposition(
     A: Representation,
     a: StabilityParam,
     filt: Filtration,
-    rank_tol: float = 1e-8,
-    grad_tol: float = 1e-8,
 ) -> int:
     """Complex dimension of ker(rho_A^C)* intersected with the
     lower-triangular block subspace, at a critical A with critical filtration
     `filt`. Equals the combinatorial stratum codimension."""
-    if grad_norm(q, A, a) >= 10 * grad_tol:
+    if grad_norm(q, A, a) >= 10 * _TANGENT_GRAD_TOL:
         raise ClassificationError("input is not numerically critical")
     # work in the filtration's orthonormal coordinates
     Af = A.with_mats(filt.coordinates(q, A.mats))
     # complex matrix of rho^C: one column per gauge basis element
     M, _ = _intertwiner_matrix(q, Af, Af)
     Ufull, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
+    cutoff = _TANGENT_RANK_TOL * max(1.0, s[0] if s.size else 0.0)
     if np.any((s > cutoff / 10) & (s < cutoff * 10)):
         raise RankAmbiguityError("singular value within a decade of the rank tolerance")
     N = Ufull[:, int(np.sum(s > cutoff)) :]

@@ -277,8 +277,18 @@ def test_exit_code_1_on_off_level_init(tmp_path):
         ["flow", "--quiver", "a2", "--max-t", "-1"],
         ["hkflow", "--quiver", "a2", "--level-tol", "-1"],
         ["checkgrad", "--trials", "0"],
+        ["strata", "--quiver", "star21", "--max-length", "0"],
+        ["strata", "--quiver", "star21", "--max-length", "-3"],
+        ["flow", "--quiver", "a2", "--seed", "-1"],
+        ["sigma", "--quiver", "a2", "--seed", "-1"],
+        ["hkflow", "--quiver", "a2", "--seed", "-1"],
+        ["checkgrad", "--seed", "-1"],
     ],
-    ids=["max-deg", "flow-tol", "sigma-tol", "max-t", "level-tol", "trials"],
+    ids=[
+        "max-deg", "flow-tol", "sigma-tol", "max-t", "level-tol", "trials",
+        "max-length-0", "max-length-neg", "flow-seed", "sigma-seed", "hkflow-seed",
+        "checkgrad-seed",
+    ],
 )
 def test_exit_code_2_on_bad_numeric_option(argv, capsys):
     with pytest.raises(SystemExit) as exc:

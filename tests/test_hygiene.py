@@ -1,9 +1,12 @@
 """Source hygiene: every name a package module imports is used in it, every
-module-level private name is read somewhere in the package, and every
-function the benchmark's tracer wraps exists."""
+module-level private name is read somewhere in the package, every function
+the benchmark's tracer wraps exists, every defaulted public parameter is set
+by some call, and every exported name is read in the package or named in the
+README."""
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -74,3 +77,132 @@ def test_traced_names_exist():
         if not hasattr(importlib.import_module(f"quiverflow.{module}"), name)
     ]
     assert missing == []
+
+
+def defaulted(fn: ast.FunctionDef) -> tuple[list[str], list[str]]:
+    """The positional parameter names of a def, and the names that carry a
+    default."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    named = positional[len(positional) - len(args.defaults) :] if args.defaults else []
+    named += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, named
+
+
+def call_name(fn: ast.FunctionDef, cls: str | None) -> str:
+    """The name a call uses to reach a def: a constructor is called by its
+    class name, anything else by its own name."""
+    return cls if cls is not None and fn.name == "__init__" else fn.name
+
+
+def given_arguments(call: ast.Call, params: list[str]) -> list[tuple[str, ast.expr]]:
+    """(parameter, value) pairs a call passes, given the def's positional
+    parameters: positional arguments up to the first *args, keywords, and the
+    literal keys of a **{...}."""
+    given = []
+    for name, arg in zip(params, call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        given.append((name, arg))
+    for kw in call.keywords:
+        if kw.arg is not None:
+            given.append((kw.arg, kw.value))
+        elif isinstance(kw.value, ast.Dict):
+            given += [
+                (k.value, v)
+                for k, v in zip(kw.value.keys, kw.value.values)
+                if isinstance(k, ast.Constant)
+            ]
+    return given
+
+
+def calls_in(node: ast.AST, enclosing: ast.FunctionDef | None = None):
+    """Every call under node, with the innermost def that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, enclosing
+        yield from calls_in(child, child if isinstance(child, ast.FunctionDef) else enclosing)
+
+
+def unset_defaults() -> tuple[list[str], list[str]]:
+    """(all, unset) defaulted parameters of the public functions and methods
+    of the package, each as module.function.parameter.
+
+    A parameter is set when some call in the package, the tests or the
+    benchmark passes it; calls are matched to defs by name. A call that
+    passes on the same-named defaulted parameter of the def enclosing it sets
+    the parameter only when that enclosing parameter is set itself."""
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "qfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    owner = {}  # id of a def -> name of the class whose body holds it
+    defs: dict[str, list[ast.FunctionDef]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        owner[id(fn)] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(call_name(node, owner.get(id(node))), []).append(node)
+
+    public = {}
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        top = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for c in tree.body:
+            if isinstance(c, ast.ClassDef) and not c.name.startswith("_"):
+                top += [fn for fn in c.body if isinstance(fn, ast.FunctionDef)]
+        for fn in top:
+            cls = owner.get(id(fn))
+            if fn.name.startswith("_") and fn.name != "__init__":
+                continue
+            parts = [path.stem, cls] if fn.name == "__init__" else [path.stem, cls, fn.name]
+            label = ".".join(part for part in parts if part)
+            for name in defaulted(fn)[1]:
+                public[id(fn), name] = f"{label}.{name}"
+
+    direct, passes = set(), []
+    for tree in trees.values():
+        for call, enclosing in calls_in(tree):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "cls" and enclosing is not None:
+                name = owner.get(id(enclosing))
+            for fn in defs.get(name, []):
+                params, with_default = defaulted(fn)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if id(fn) in owner and not static:
+                    params = params[1:]
+                for param, value in given_arguments(call, params):
+                    if param not in with_default:
+                        continue
+                    if (isinstance(value, ast.Name) and value.id == param
+                            and enclosing is not None and param in defaulted(enclosing)[1]):
+                        passes.append(((id(enclosing), param), (id(fn), param)))
+                    else:
+                        direct.add((id(fn), param))
+    is_set = set(direct)
+    while True:
+        new = {dst for src, dst in passes if src in is_set} - is_set
+        if not new:
+            break
+        is_set |= new
+    return sorted(public.values()), sorted(v for k, v in public.items() if k not in is_set)
+
+
+def test_no_unset_defaults():
+    every, unset = unset_defaults()
+    assert every
+    assert unset == []
+
+
+def test_exports_are_read_or_documented():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    assert exported
+    read = set().union(*(read_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
+    documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert [n for n in exported if n not in read and n not in documented] == []

@@ -14,7 +14,6 @@ from quiverflow import (
     ConstructionError,
     Filtration,
     FlowConfig,
-    LieElement,
     Quiver,
     QuiverError,
     Representation,
@@ -264,7 +263,7 @@ def test_hom_space_identity_and_endomorphisms():
             for c in range(d):
                 u = [np.zeros((k, k), dtype=complex) for k in v]
                 u[l][r, c] = 1
-                cols.append(np.concatenate([x.ravel() for x in rho(A, LieElement(u))]))
+                cols.append(np.concatenate([x.ravel() for x in rho(A, u)]))
     assert np.array_equal(M, np.stack(cols, axis=1))
 
 
