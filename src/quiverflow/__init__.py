@@ -43,7 +43,6 @@ from .flow import (
     StepUnderflowError,
     integrate_flow,
     integrate_gauge,
-    integrate_group_flow,
     paired_flow_sigma,
     sigma,
     sigma_from_gauge,

@@ -44,6 +44,7 @@ from .quiver import (
     StabilityParam,
     codimension,
     enumerate_hn_types,
+    rank,
     shifted_param,
     slope,
 )
@@ -113,6 +114,8 @@ def load_quiver_file(path: str) -> tuple[Quiver, tuple[int, ...], StabilityParam
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed quiver file: {e}")
     a = StabilityParam.trace_free(q, dims, alpha)
+    if rank(dims) == 0:
+        raise InputError("dimension vector has rank 0: the representation space is empty")
     return q, dims, a
 
 
@@ -206,8 +209,6 @@ def cmd_flow(args) -> int:
     }
     if note:
         final["note"] = note
-    if res.warnings:
-        final["warnings"] = res.warnings
     _emit(args.out_final, json.dumps(final, indent=2) + "\n")
     if args.stats:
         # h_min is infinite, written as null, when no step was accepted
@@ -347,12 +348,11 @@ def cmd_checkgrad(args) -> int:
     return 0
 
 
-def _add_flow_opts(p, with_tol=True):
+def _add_flow_opts(p):
     p.add_argument("--quiver", required=True, help="quiver file path or builtin name")
     p.add_argument("--seed", type=int, default=0)
-    if with_tol:
-        p.add_argument("--tol", type=float, default=1e-8, help="gradient norm tolerance")
-        p.add_argument("--max-t", type=float, default=1e4, help="flow time horizon")
+    p.add_argument("--tol", type=float, default=1e-8, help="gradient norm tolerance")
+    p.add_argument("--max-t", type=float, default=1e4, help="flow time horizon")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,7 +46,6 @@ from .repspace import (
     act,
     f_of,
     moment_kernel,
-    rep_norm,
 )
 
 # Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
@@ -127,8 +126,6 @@ _ATOL = 1e-12
 # a gradient dip below _SADDLE_TOL followed by a 10x rise marks a saddle
 # flyby: finite precision cannot track the stratum down to grad_tol
 _SADDLE_TOL = 1e-4
-# the gauge drift ||g(t) . A0 - A(t)|| above which integrate_group_flow warns
-_DRIFT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,6 @@ class FlowResult:
     trajectory: list[FlowSample]
     converged: bool
     n_steps: int
-    warnings: list[str] = field(default_factory=list)
     # state at the first locked gradient dip (saddle flyby), if any
     dip_state: Representation | None = None
     dip_t: float | None = None
@@ -457,7 +453,7 @@ def integrate_gauge(
     integrate_flow. Returns the flow result and the per-vertex blocks of the
     final g, unchecked: on an unstable start g diverges, and its blocks may
     be numerically singular. on_sample(t, A, g_blocks), if given, sees every
-    sample."""
+    sample; it is how a caller reads the gauge curve."""
     emb = BlockEmbedding(q, A0.dims)
     n_rep = math.prod(emb.shape)
     n = emb.shape[0]
@@ -477,32 +473,6 @@ def integrate_gauge(
 
     lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), cfg, sample, stop_below)
     return _result(lo, to_rep, samples), gauge_blocks(lo.y)
-
-
-def integrate_group_flow(
-    q: Quiver,
-    A0: Representation,
-    a: StabilityParam,
-) -> tuple[FlowResult, GaugeElement, list[tuple[float, list[np.ndarray]]]]:
-    """The co-integrated flow of integrate_gauge under the default FlowConfig,
-    with g checked.
-
-    Returns the flow result, the final gauge element, and the sampled gauge
-    curve. A drift warning is attached to the result if ||g(t).A0 - A(t)||
-    exceeds _DRIFT_TOL at any sample."""
-    gauge_curve: list[tuple[float, list[np.ndarray]]] = []
-    max_drift = 0.0
-
-    def on_sample(t, A, gb):
-        nonlocal max_drift
-        drift = rep_norm([m1 - m2 for m1, m2 in zip(act(GaugeElement(gb), A0).mats, A.mats)])
-        max_drift = max(max_drift, drift)
-        gauge_curve.append((t, gb))
-
-    result, gb = integrate_gauge(q, A0, a, on_sample=on_sample)
-    if max_drift > _DRIFT_TOL:
-        result.warnings.append(f"gauge drift {max_drift:.3g} exceeds drift_tol")
-    return result, GaugeElement(gb), gauge_curve
 
 
 def sigma(h_blocks: Sequence[np.ndarray], total_rank: int) -> float:
@@ -568,10 +538,7 @@ def paired_flow_sigma(
     def on_sample(t, y, fs, g):
         g1 = emb.vertex_blocks(y[n_rep:half].reshape(n, n))
         g2 = emb.vertex_blocks(y[half + n_rep :].reshape(n, n))
-        gbar = [
-            b2 @ b0 @ np.linalg.solve(b1, np.eye(b1.shape[0], dtype=complex))
-            for b2, b0, b1 in zip(g2, g0.blocks, g1)
-        ]
+        gbar = [b2 @ b0 @ np.linalg.inv(b1) for b2, b0, b1 in zip(g2, g0.blocks, g1)]
         samples.append((t, sigma_from_gauge(gbar, total)))
         g1_curve.append((t, g1))
         g2_curve.append((t, g2))

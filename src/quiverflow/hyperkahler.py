@@ -11,7 +11,7 @@ import numpy as np
 
 from .flow import FlowConfig, FlowResult, integrate_flow
 from .quiver import Quiver, QuiverError, StabilityParam
-from .repspace import Representation, rep_norm
+from .repspace import Representation, rep_norm, _bracket
 from .strata import CriticalType, classify_critical, _block_matrices, _noise
 
 
@@ -61,25 +61,10 @@ class DoubledRep:
         return self.rep.mats[len(self.base.edges) :]
 
 
-def _phi_c_bilinear(
-    q: Quiver,
-    dims: Sequence[int],
-    a_mats: Sequence[np.ndarray],
-    b_mats: Sequence[np.ndarray],
-) -> tuple[np.ndarray, ...]:
-    """Per-vertex bilinear form whose diagonal is the complex moment map:
-    sum_{in(a)=l} A_a B_a - sum_{out(a)=l} B_a A_a."""
-    blocks = [np.zeros((d, d), dtype=complex) for d in dims]
-    for (out_i, in_i), ma, mb in zip(q.edge_indices(), a_mats, b_mats):
-        blocks[in_i] += ma @ mb
-        blocks[out_i] -= mb @ ma
-    return tuple(blocks)
-
-
 def moment_complex(dr: DoubledRep) -> tuple[np.ndarray, ...]:
     """Complex moment map Phi_C(A, B) = [A, B], expanded per vertex. The
     traces sum to zero."""
-    return _phi_c_bilinear(dr.base, dr.rep.dims, dr.a_mats, dr.b_mats)
+    return _bracket(dr.base, dr.rep.dims, dr.a_mats, dr.b_mats)
 
 
 def phi_c_norm(dr: DoubledRep) -> float:
@@ -152,5 +137,4 @@ def level_linearization_residual(
         )
     n_a = len(dr.base.edges)
     da, db = list(delta[:n_a]), list(delta[n_a:])
-    blocks = _phi_c_bilinear(dr.base, dr.rep.dims, da, db)
-    return rep_norm(blocks)
+    return rep_norm(_bracket(dr.base, dr.rep.dims, da, db))

@@ -114,9 +114,6 @@ class GaugeElement:
     def identity(cls, dims: Sequence[int]) -> "GaugeElement":
         return cls([np.eye(d, dtype=complex) for d in dims], unitary=True)
 
-    def inverse_blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(b) for b in self.blocks)
-
 
 class BlockEmbedding:
     """Block layout of a representation space inside N x N matrices,
@@ -237,14 +234,29 @@ def grad_norm(q: Quiver, A: Representation, a: StabilityParam) -> float:
     return float(np.linalg.norm(_evaluate(q, A, a)[1][1]))
 
 
+def _conjugate(
+    q: Quiver, left: Sequence[np.ndarray], mats: Sequence[np.ndarray], right: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """left_in(a) m_a right_out(a) per edge, from per-vertex blocks."""
+    return [left[in_i] @ m @ right[out_i] for (out_i, in_i), m in zip(q.edge_indices(), mats)]
+
+
+def _bracket(
+    q: Quiver, dims: Sequence[int], xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Per-vertex blocks sum_{in(a)=l} x_a y_a - sum_{out(a)=l} y_a x_a."""
+    blocks = [np.zeros((d, d), dtype=complex) for d in dims]
+    for (out_i, in_i), x, y in zip(q.edge_indices(), xs, ys):
+        blocks[in_i] += x @ y
+        blocks[out_i] -= y @ x
+    return tuple(blocks)
+
+
 def act(g: GaugeElement, A: Representation) -> Representation:
     """Gauge action A_a -> g_in(a) A_a g_out(a)^{-1} (for unitary g the
     inverse equals the adjoint, recovering conjugation)."""
-    inv = g.inverse_blocks()
-    mats = []
-    for (out_i, in_i), m in zip(A.quiver.edge_indices(), A.mats):
-        mats.append(g.blocks[in_i] @ m @ inv[out_i])
-    return A.with_mats(mats)
+    inv = [np.linalg.inv(b) for b in g.blocks]
+    return A.with_mats(_conjugate(A.quiver, g.blocks, A.mats, inv))
 
 
 def rho(A: Representation, u: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -287,8 +299,4 @@ def finite_difference_check(
 def rho_adjoint(A: Representation, tangent: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Metric adjoint of rho(A, .), as per-vertex blocks:
     Re<rho(A,u), X> = Re<u, rho_adjoint(A,X)>."""
-    blocks = [np.zeros((d, d), dtype=complex) for d in A.dims]
-    for (out_i, in_i), m, x in zip(A.quiver.edge_indices(), A.mats, tangent):
-        blocks[in_i] += x @ m.conj().T
-        blocks[out_i] -= m.conj().T @ x
-    return tuple(blocks)
+    return _bracket(A.quiver, A.dims, tangent, [m.conj().T for m in A.mats])

@@ -30,7 +30,7 @@ from .quiver import (
     slope,
     _Lattice,
 )
-from .repspace import Representation, f_value, grad_norm, shifted_moment
+from .repspace import Representation, f_value, grad_norm, shifted_moment, _conjugate
 from .series import poincare_semistable
 
 
@@ -124,14 +124,12 @@ class Filtration:
         with U = full_basis, so the block of rows in part s and columns in
         part t maps level t into level s."""
         U = [self.full_basis(l) for l in range(q.n_vertices)]
-        edges = q.edge_indices()
-        return [U[in_i].conj().T @ m @ U[out_i] for (out_i, in_i), m in zip(edges, mats)]
+        return _conjugate(q, [u.conj().T for u in U], mats, U)
 
     def from_coordinates(self, q: Quiver, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Inverse of coordinates: U_in r U_out^H per edge."""
         U = [self.full_basis(l) for l in range(q.n_vertices)]
-        edges = q.edge_indices()
-        return [U[in_i] @ r @ U[out_i].conj().T for (out_i, in_i), r in zip(edges, mats)]
+        return _conjugate(q, U, mats, [u.conj().T for u in U])
 
     @classmethod
     def coordinate(cls, dims: Sequence[int], hn_type: HNType) -> "Filtration":
@@ -169,6 +167,8 @@ def classify_critical(
     shifted moment blocks, clustering the eigenvalues across all vertices, and
     matching each cluster eigenvalue against minus the slope of its dimension
     vector."""
+    if rank(A.dims) == 0:
+        raise ClassificationError("empty representation space")
     if grad_norm(q, A, a) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
     H = shifted_moment(q, A, a)
@@ -180,9 +180,7 @@ def classify_critical(
             w, u = np.zeros(0), np.zeros((0, 0), dtype=complex)
         eigs.append(w)
         vecs.append(u)
-    all_eigs = np.sort(np.concatenate([w for w in eigs if w.size]))
-    if all_eigs.size == 0:
-        raise ClassificationError("empty representation space")
+    all_eigs = np.sort(np.concatenate(eigs))
 
     # chain-cluster with threshold _CLUSTER_TOL, then demand a 2*_CLUSTER_TOL
     # separation between clusters so no silent misclustering is possible
@@ -418,8 +416,7 @@ def certify_semistable(
         g = [np.eye(d, dtype=complex) for d in B.dims]
         if res.elapsed > 0:
             _, g = integrate_gauge(q, B, a, replace(cfg, max_time=res.elapsed), stop_below=level)
-        inv = [np.linalg.inv(b) for b in g]
-        gB = [g[in_i] @ m @ inv[out_i] for (out_i, in_i), m in zip(q.edge_indices(), B.mats)]
+        gB = _conjugate(q, g, B.mats, [np.linalg.inv(b) for b in g])
         cert.witness_f = f_value(q, B.with_mats(gB), a)
         cert.witness_cond = max(float(np.linalg.cond(b)) for b in g if b.size)
     return cert

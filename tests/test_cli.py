@@ -255,6 +255,23 @@ def test_exit_code_2_on_malformed_file(tmp_path):
     assert p2.returncode == 2
 
 
+def test_exit_code_2_on_rank_zero_dims(tmp_path, capsys):
+    # an empty representation space is rejected when the file is read
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "vertices": ["1", "2"],
+        "edges": [{"from": "1", "to": "2"}],
+        "dim": {"1": 0, "2": 0},
+        "alpha": {"1": "1", "2": "-1"},
+    }))
+    for command in ("flow", "strata", "poincare", "sigma", "hkflow", "checkgrad"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--quiver", str(path)])
+        assert exc.value.code == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "input_error", command
+
+
 def test_exit_code_1_on_off_level_init(tmp_path):
     # a random doubled representation is off the zero level of Phi_C
     from quiverflow import double

@@ -13,8 +13,9 @@ from quiverflow import (
     enumerate_hn_types,
     f_value,
     integrate_flow,
-    integrate_group_flow,
+    integrate_gauge,
     jordan2,
+    make_hn_example,
     paired_flow_sigma,
     sigma,
     sigma_from_gauge,
@@ -86,15 +87,41 @@ def test_convergence_random_all_quivers():
                 assert np.linalg.norm(m) < 1e-7
 
 
+def _drift(g_blocks, A0, A):
+    """||g . A0 - A|| over the edges."""
+    tracked = act(GaugeElement(g_blocks), A0)
+    return np.sqrt(sum(np.sum(np.abs(m1 - m2) ** 2) for m1, m2 in zip(tracked.mats, A.mats)))
+
+
 def test_group_flow_tracks_orbit():
     q, v, a = a2()
     A0 = Representation(q, v, [np.array([[0.1]], dtype=complex)])
-    res, g_final, curve = integrate_group_flow(q, A0, a)
+    drifts = []
+    res, g_final = integrate_gauge(
+        q, A0, a, on_sample=lambda t, A, g: drifts.append(_drift(g, A0, A))
+    )
     assert res.converged
-    assert not res.warnings  # no drift beyond drift_tol
-    tracked = act(g_final, A0)
-    err = np.sqrt(sum(np.sum(np.abs(m1 - m2) ** 2) for m1, m2 in zip(tracked.mats, res.final.mats)))
-    assert err < 1e-6
+    assert len(drifts) == len(res.trajectory) and max(drifts) < 1e-5
+    assert _drift(g_final, A0, res.final) < 1e-6
+
+
+def test_gauge_flow_on_unstable_start():
+    # on an unstable stratum the limit leaves the orbit of A0, so g(t)
+    # diverges; the flow still converges and g . A0 tracks A(t) while g is
+    # well conditioned
+    q, _, a = star21()
+    for seed in range(3):
+        A0, _ = make_hn_example(q, ((1, 1), (1, 0)), a, seed=seed)
+        checked = []
+
+        def on_sample(t, A, g):
+            if max(np.linalg.cond(b) for b in g) <= 1e4:
+                checked.append(_drift(g, A0, A))
+
+        res, g_final = integrate_gauge(q, A0, a, on_sample=on_sample)
+        assert res.converged, seed
+        assert checked and max(checked) < 1e-6, seed
+        assert max(np.linalg.cond(b) for b in g_final) > 1e10, seed
 
 
 def test_flow_stats_fsal_invariant():
@@ -104,7 +131,7 @@ def test_flow_stats_fsal_invariant():
     rng = np.random.default_rng(3)
     A0 = Representation.random(q, v, rng)
     plain = integrate_flow(q, A0, a)
-    group, _, _ = integrate_group_flow(q, A0, a)
+    group, _ = integrate_gauge(q, A0, a)
     paired = paired_flow_sigma(q, A0, random_unitary_gauge(v, rng), a)
     for res in (plain, group):
         assert res.stats.n_accepted == res.n_steps
@@ -246,8 +273,8 @@ def test_group_flow_zero_generator():
     # f = 0 start: generator vanishes, g stays the identity
     q, v, a = a2()
     A0 = Representation(q, v, [np.array([[np.sqrt(2)]], dtype=complex)])
-    res, g_final, _ = integrate_group_flow(q, A0, a)
-    for b, d in zip(g_final.blocks, v):
+    _, g_final = integrate_gauge(q, A0, a)
+    for b, d in zip(g_final, v):
         assert np.allclose(b, np.eye(d), atol=1e-10)
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private name is read somewhere in the package, every function
-the benchmark's tracer wraps exists, every defaulted public parameter is set
-by some call, and every exported name is read in the package or named in the
+the benchmark's tracer wraps exists, every defaulted parameter of a public
+function or method, or of a module-level private function, is set by some
+call, and every exported name is read in the package or named in the
 README."""
 
 import ast
@@ -125,8 +126,9 @@ def calls_in(node: ast.AST, enclosing: ast.FunctionDef | None = None):
 
 
 def unset_defaults() -> tuple[list[str], list[str]]:
-    """(all, unset) defaulted parameters of the public functions and methods
-    of the package, each as module.function.parameter.
+    """(all, unset) defaulted parameters of the module-level functions, public
+    or private, and of the public methods of the package, each as
+    module.function.parameter.
 
     A parameter is set when some call in the package, the tests or the
     benchmark passes it; calls are matched to defs by name. A call that
@@ -156,7 +158,7 @@ def unset_defaults() -> tuple[list[str], list[str]]:
                 top += [fn for fn in c.body if isinstance(fn, ast.FunctionDef)]
         for fn in top:
             cls = owner.get(id(fn))
-            if fn.name.startswith("_") and fn.name != "__init__":
+            if cls is not None and fn.name.startswith("_") and fn.name != "__init__":
                 continue
             parts = [path.stem, cls] if fn.name == "__init__" else [path.stem, cls, fn.name]
             label = ".".join(part for part in parts if part)

