@@ -49,7 +49,6 @@ from .flow import (
 )
 from .strata import (
     ClassificationError,
-    ClusterAmbiguityError,
     ConstructionError,
     CriticalType,
     Filtration,

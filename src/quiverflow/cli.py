@@ -12,8 +12,10 @@ edge]} in the quiver's edge order.
 
 Stats file (JSON, `flow --stats PATH`): the integrator's FlowStats counters,
 plus "critical_path" (the state classified: "dip" or "endpoint"; null when
-the flow did not converge and left no usable dip) and "fallback_reason". It
-is written only on request, so the other outputs stay byte-deterministic.
+the flow did not converge and left no usable dip), "fallback_reason", and the
+classification margins "level_margin" and "offdiag_residue" (null when the
+classification failed). It is written only on request, so the other outputs
+stay byte-deterministic.
 
 All randomness flows from a single --seed through numpy.random.default_rng.
 Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity, a failed
@@ -187,7 +189,7 @@ def cmd_flow(args) -> int:
     else:
         A0 = Representation.random(q, dims, np.random.default_rng(args.seed))
     cfg = _flow_config(args)
-    hn_type = None
+    hn_type = crit = None
     note = None
     res = integrate_flow(q, A0, a, cfg)
     try:
@@ -215,6 +217,8 @@ def cmd_flow(args) -> int:
         stats = {k: v if math.isfinite(v) else None for k, v in asdict(res.stats).items()}
         stats["critical_path"] = res.critical_path
         stats["fallback_reason"] = res.fallback_reason
+        stats["level_margin"] = None if crit is None else crit.level_margin
+        stats["offdiag_residue"] = None if crit is None else crit.offdiag_residue
         _emit(args.stats, json.dumps(stats, indent=2) + "\n")
     if not res.converged:
         _fail(1, "non_convergence", f"flow stopped at t={res.elapsed} with grad_norm={res.final_grad_norm}")
@@ -369,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-final", default="-", help="final state JSON path (default stdout)")
     p.add_argument(
         "--stats",
-        help="integration counters, critical_path and fallback_reason as JSON",
+        help="integration counters, critical_path, fallback_reason and margins as JSON",
     )
     p.set_defaults(func=cmd_flow)
 

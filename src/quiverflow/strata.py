@@ -1,10 +1,11 @@
 """Harder-Narasimhan strata through one filtration type: a `Filtration` (an
 HN type with orthonormal level bases) and its `coordinates`, the one change
 of basis used here. A `CriticalType` is a critical filtration plus its
-eigenvalues, and a constructed critical point is a refined graded object.
-Also flow-based HN typing, semistability certified at the critical-value gap
-(the sampler behind constructed instances), intertwiner (Hom) spaces,
-isomorphism certificates and the numeric tangent-space codimension check.
+eigenvalues, each snapped to the exact -slope level of a sub-dimension-vector,
+and a constructed critical point is a refined graded object. Also flow-based
+HN typing, semistability certified at the critical-value gap (the sampler
+behind constructed instances), intertwiner (Hom) spaces, isomorphism
+certificates and the numeric tangent-space codimension check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .quiver import (
     enumerate_hn_types,
     rank,
     shifted_param,
-    slope,
     _Lattice,
 )
 from .repspace import Representation, f_value, grad_norm, shifted_moment, _conjugate
@@ -38,24 +38,22 @@ class ClassificationError(RuntimeError):
     pass
 
 
-class ClusterAmbiguityError(ClassificationError):
-    """Two eigenvalue clusters are separated by a gap in the ambiguous band
-    [_CLUSTER_TOL, 2*_CLUSTER_TOL): the input is too far from a critical point
-    for its eigenvalues to cluster unambiguously."""
-
-
 class SlopeMismatchError(ClassificationError):
-    """Eigenvalue clusters do not satisfy lambda = -slope: the input is not a
-    critical point of this functional."""
+    """The eigenvalues do not satisfy lambda = -slope: some eigenvalue is off
+    the -slope levels, or the part on a level has another slope. The input is
+    not a critical point of this functional."""
 
 
 class ConstructionError(RuntimeError):
     pass
 
 
-# eigenvalues of the shifted moment closer than _CLUSTER_TOL share a cluster;
-# clusters, slopes and off-diagonal blocks are all judged on this scale
-_CLUSTER_TOL = 1e-4
+# an eigenvalue of the shifted moment lies off its -slope level by less than
+# _LEVEL_MARGIN of the half-gap (at most 1/2, so by less than 1e-2), and an
+# off-diagonal block of an edge matrix in the eigenbasis has norm below
+# _OFF_DIAGONAL_TOL
+_LEVEL_MARGIN = 2e-2
+_OFF_DIAGONAL_TOL = 1e-4
 # a filtration level is invariant when its block into the levels above has
 # norm below _INVARIANCE_TOL
 _INVARIANCE_TOL = 1e-8
@@ -152,9 +150,12 @@ class CriticalType(Filtration):
     """The critical filtration of a critical point: the eigenspaces of its
     shifted moment, ordered by increasing eigenvalue lambdas[s] (strictly
     decreasing slope); bases[s][l] is an orthonormal basis (columns) of the
-    s-th eigenspace at vertex l."""
+    s-th eigenspace at vertex l. level_margin and offdiag_residue are the
+    margins classify_critical measured (see there)."""
 
     lambdas: tuple[float, ...]
+    level_margin: float
+    offdiag_residue: float
 
 
 def classify_critical(
@@ -163,69 +164,63 @@ def classify_critical(
     a: StabilityParam,
     grad_tol: float = 1e-8,
 ) -> CriticalType:
-    """Classify a numerically critical representation by eigendecomposing the
-    shifted moment blocks, clustering the eigenvalues across all vertices, and
-    matching each cluster eigenvalue against minus the slope of its dimension
-    vector."""
+    """Classify a numerically critical representation: eigendecompose the
+    shifted moment blocks and snap each eigenvalue to the nearest level
+    -slope(w), w a nonzero sub-dimension-vector of A.dims. The eigenvalues on
+    one level form one part, whose slope must be that level. The result
+    carries the margins: level_margin, the worst distance of an eigenvalue
+    from its level over half the least gap 1/(rank^2 * denom) between two
+    slopes, and offdiag_residue, the largest norm of an off-diagonal block of
+    an edge matrix in the eigenbasis."""
     if rank(A.dims) == 0:
         raise ClassificationError("empty representation space")
     if grad_norm(q, A, a) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
-    H = shifted_moment(q, A, a)
-    eigs, vecs = [], []
-    for b in H:
-        if b.size:
-            w, u = np.linalg.eigh(b)
-        else:
-            w, u = np.zeros(0), np.zeros((0, 0), dtype=complex)
-        eigs.append(w)
-        vecs.append(u)
-    all_eigs = np.sort(np.concatenate(eigs))
+    eigs, vecs = zip(*map(np.linalg.eigh, shifted_moment(q, A, a)))
+    # -slope of every level, read off any sub-vector on it
+    lat = _Lattice(q, A.dims, a)
+    targets = np.empty(lat.n_levels)
+    targets[lat.levels[1:]] = [-d / (r * lat.denom) for d, r in zip(lat.degrees, lat.ranks) if r]
+    half_gap = 0.5 / (rank(A.dims) ** 2 * lat.denom)
+    snaps = [np.abs(w[:, None] - targets).argmin(axis=1) for w in eigs]
+    dev = max(float(np.abs(w - targets[k]).max(initial=0.0)) for w, k in zip(eigs, snaps))
+    margin = dev / half_gap
+    if margin >= _LEVEL_MARGIN:
+        raise SlopeMismatchError(
+            f"an eigenvalue lies {dev:.3g} off the nearest -slope level, {margin:.3g} "
+            "of the half-gap: not a critical point of this functional"
+        )
 
-    # chain-cluster with threshold _CLUSTER_TOL, then demand a 2*_CLUSTER_TOL
-    # separation between clusters so no silent misclustering is possible
-    clusters: list[list[float]] = [[all_eigs[0]]]
-    for x in all_eigs[1:]:
-        if x - clusters[-1][-1] < _CLUSTER_TOL:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    for c1, c2 in zip(clusters, clusters[1:]):
-        gap = c2[0] - c1[-1]
-        if gap < 2 * _CLUSTER_TOL:
-            raise ClusterAmbiguityError(
-                f"eigenvalue gap {gap:.3g} in [{_CLUSTER_TOL:.3g}, {2*_CLUSTER_TOL:.3g}); "
-                "the eigenvalue clusters are ambiguous"
+    all_eigs, all_snaps = np.concatenate(eigs), np.concatenate(snaps)
+    bases, parts, lambdas = [], [], []
+    # levels number slopes upwards, so eigenvalues rise as the level falls
+    for k in sorted(set(all_snaps.tolist()), reverse=True):
+        sel = [s == k for s in snaps]
+        part = tuple(int(np.count_nonzero(m)) for m in sel)
+        if lat.levels[sum(x * st for x, st in zip(part, lat.strides))] != k:
+            raise SlopeMismatchError(
+                f"the part {part} on the eigenvalue level {targets[k]:.6g} has another "
+                "slope: not a critical point of this functional"
             )
-    centers = [float(np.mean(c)) for c in clusters]
-
-    bases, parts = [], []
-    for cluster, center in zip(clusters, centers):
-        sel = [np.abs(w - center) < _CLUSTER_TOL * len(cluster) for w in eigs]
         bases.append(tuple(u[:, m] for u, m in zip(vecs, sel)))
-        parts.append(tuple(int(np.count_nonzero(m)) for m in sel))
+        parts.append(part)
+        lambdas.append(float(np.mean(np.sort(all_eigs[all_snaps == k]))))
     hn_type = tuple(parts)
 
-    for center, part in zip(centers, hn_type):
-        mu = float(slope(q, part, a))
-        if abs(center + mu) >= 100 * _CLUSTER_TOL:
-            raise SlopeMismatchError(
-                f"cluster eigenvalue {center:.6g} != -slope {-mu:.6g}: "
-                "not a critical point of this functional"
-            )
-
-    crit = CriticalType(hn_type, tuple(bases), tuple(centers))
     # off-diagonal blocks of every edge matrix in the eigenbasis must vanish:
     # the squared norm of block (s, t) is summed at label s * L + t
+    filt = Filtration(hn_type, tuple(bases))
     L = len(hn_type)
     lab = _part_labels(hn_type)
     off_diag = ~np.eye(L, dtype=bool).ravel()
-    for (out_i, in_i), r in zip(q.edge_indices(), crit.coordinates(q, A.mats)):
+    residue = 0.0
+    for (out_i, in_i), r in zip(q.edge_indices(), filt.coordinates(q, A.mats)):
         block = (lab[in_i][:, None] * L + lab[out_i][None, :]).ravel()
         sq = np.bincount(block, weights=np.abs(r.ravel()) ** 2, minlength=L * L)
-        if np.any(np.sqrt(sq[off_diag]) >= _CLUSTER_TOL):
-            raise ClassificationError("edge matrix has a non-vanishing off-diagonal block")
-    return crit
+        residue = max(residue, float(np.sqrt(sq[off_diag].max(initial=0.0))))
+    if residue >= _OFF_DIAGONAL_TOL:
+        raise ClassificationError("edge matrix has a non-vanishing off-diagonal block")
+    return CriticalType(hn_type, filt.bases, tuple(lambdas), margin, residue)
 
 
 def refine_critical(

@@ -113,7 +113,9 @@ def test_flow_command_stats_file(tmp_path):
     assert doc["n_rhs"] == 1 + 12 * (doc["n_accepted"] + rejected)
     assert 0 < doc["h_min"] <= doc["h_max"]
     assert 0 <= doc["n_stiff_capped"] <= doc["n_accepted"]
-    # a start at a critical point takes no step: h_min is written as null
+    assert 0 <= doc["level_margin"] < 1e-6 and 0 <= doc["offdiag_residue"] < 1e-4
+    # a start at a critical point takes no step: h_min is written as null;
+    # the zero representation's eigenvalues are exactly -a
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps(rep_to_doc(Representation.zero(q, v))))
     run_cli("flow", "--quiver", "star21", "--init", str(zero),
@@ -121,6 +123,14 @@ def test_flow_command_stats_file(tmp_path):
     doc = json.loads(stats.read_text())
     assert doc["n_accepted"] == 0 and doc["h_min"] is None
     assert doc["critical_path"] == "endpoint"
+    assert doc["level_margin"] == doc["offdiag_residue"] == 0.0
+    # a flow cut short is not classified: the margins are written as null
+    p = run_cli("flow", "--quiver", "star21", "--init", str(init), "--max-t", "0.01",
+                "--stats", str(stats))
+    assert p.returncode == 1
+    doc = json.loads(stats.read_text())
+    assert doc["critical_path"] is None
+    assert doc["level_margin"] is None and doc["offdiag_residue"] is None
 
 
 def test_flow_command_integrates_once(tmp_path, monkeypatch):

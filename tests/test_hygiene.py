@@ -2,10 +2,11 @@
 module-level private name is read somewhere in the package, every function
 the benchmark's tracer wraps exists, every defaulted parameter of a public
 function or method, or of a module-level private function, is set by some
-call, and every exported name is read in the package or named in the
-README."""
+call, every exported name is read in the package or named in the
+README, and every exception class the package defines is raised in it."""
 
 import ast
+import builtins
 import importlib
 import re
 import runpy
@@ -208,3 +209,38 @@ def test_exports_are_read_or_documented():
     read = set().union(*(read_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
     documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert [n for n in exported if n not in read and n not in documented] == []
+
+
+def exception_classes() -> dict[str, str]:
+    """The classes the package defines that derive, directly or through one
+    another, from a builtin exception, each with the file defining it."""
+    bases = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (path.name, [b.id for b in node.bases if isinstance(b, ast.Name)])
+
+    def is_exception(name: str) -> bool:
+        if name in bases:
+            return any(is_exception(b) for b in bases[name][1])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return {name: path for name, (path, _) in bases.items() if is_exception(name)}
+
+
+def raised_names(path: Path) -> set[str]:
+    """Names a raise statement of the module raises, called or bare."""
+    raised = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return raised
+
+
+def test_error_classes_are_raised():
+    classes = exception_classes()
+    assert classes
+    raised = set().union(*(raised_names(p) for p in SRC.glob("*.py")))
+    assert [f"{path}: {name}" for name, path in classes.items() if name not in raised] == []

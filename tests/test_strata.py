@@ -89,12 +89,18 @@ def test_classify_rejects_empty_space():
 
 
 def test_classify_rejects_wrong_parameter():
-    # critical for one parameter, classified against another: slope mismatch
+    # critical for one parameter, classified against another: the gradient
+    # gate is opened (||grad|| = 5.66 under bad), so the slope law rejects it
     q, v, a = a2()
     A = Representation(q, v, [np.array([[np.sqrt(2)]], dtype=complex)])
     bad = StabilityParam.trace_free(q, v, [2, -2])
-    with pytest.raises((SlopeMismatchError, ClassificationError)):
-        classify_critical(q, A, bad)
+    with pytest.raises(SlopeMismatchError, match="off the nearest -slope level"):
+        classify_critical(q, A, bad, grad_tol=1)
+    # here the eigenvalues (1, -1) sit on the levels -slope(0,1) and
+    # -slope(1,0), each at the other vertex (||grad|| = 8)
+    A2 = Representation(q, v, [np.array([[2.0]], dtype=complex)])
+    with pytest.raises(SlopeMismatchError, match="has another slope"):
+        classify_critical(q, A2, a, grad_tol=1)
 
 
 def test_hn_type_by_flow_a2():
@@ -143,13 +149,29 @@ def test_make_hn_example_eta_scale_invariance():
         assert hn_type_by_flow(q, A, a) == ((1, 1), (1, 0))
 
 
-def test_make_critical_point_laws():
+def critical_point_cases():
+    """(quiver, parameter, type, seed): the star types, and triangle types
+    (two of length 3) whose refinement converges at seed 0."""
     q, v, a = star21()
     for t in [((1, 1), (1, 0)), ((0, 1), (2, 0)), ((2, 1),)]:
-        A, filt = make_critical_point(q, t, a, seed=3)
+        yield q, a, t, 3
+    for v, t in [
+        ((1, 2, 2), ((1, 1, 2), (0, 1, 0))),
+        ((2, 2, 1), ((1, 0, 0), (1, 0, 1), (0, 2, 0))),
+        ((2, 2, 1), ((1, 0, 0), (1, 1, 1), (0, 1, 0))),
+        ((2, 2, 1), ((1, 1, 0), (1, 1, 1))),
+        ((2, 2, 1), ((2, 2, 0), (0, 0, 1))),
+    ]:
+        yield TRIANGLE, triangle_param(v), t, 0
+
+
+def test_make_critical_point_laws():
+    for q, a, t, seed in critical_point_cases():
+        A, filt = make_critical_point(q, t, a, seed=seed)
         assert grad_norm(q, A, a) < 1e-7
         crit = classify_critical(q, A, a)
         assert crit.hn_type == t
+        assert crit.level_margin < 1e-6
         # eigenvalue-slope law and critical value law
         f_star = 0.0
         for lam, part in zip(crit.lambdas, t):
