@@ -14,8 +14,9 @@ Stats file (JSON, `flow --stats PATH`): the integrator's FlowStats counters,
 plus "critical_path" (the state classified: "dip" or "endpoint"; null when
 the flow did not converge and left no usable dip), "fallback_reason", and the
 classification margins "level_margin" and "offdiag_residue" (null when the
-classification failed). It is written only on request, so the other outputs
-stay byte-deterministic.
+classification failed), and the wall times "integrate_s" and "classify_s" of
+the flow and of its classification, in seconds. It is written only on
+request, so the other outputs stay byte-deterministic.
 
 All randomness flows from a single --seed through numpy.random.default_rng.
 Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity, a failed
@@ -32,6 +33,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -191,13 +193,16 @@ def cmd_flow(args) -> int:
     cfg = _flow_config(args)
     hn_type = crit = None
     note = None
+    start = time.perf_counter()
     res = integrate_flow(q, A0, a, cfg)
+    integrated = time.perf_counter()
     try:
         A_inf, crit = critical_of_flow(q, res, a, cfg)
         hn_type = [list(p) for p in crit.hn_type]
     except (FlowError, ClassificationError) as e:
         note = str(e)
         A_inf = res.final
+    classified = time.perf_counter()
     if args.out_traj:
         _emit(args.out_traj, _traj_csv(res.trajectory, ["t", "f", "grad_norm"]))
     final = {
@@ -219,6 +224,8 @@ def cmd_flow(args) -> int:
         stats["fallback_reason"] = res.fallback_reason
         stats["level_margin"] = None if crit is None else crit.level_margin
         stats["offdiag_residue"] = None if crit is None else crit.offdiag_residue
+        stats["integrate_s"] = integrated - start
+        stats["classify_s"] = classified - integrated
         _emit(args.stats, json.dumps(stats, indent=2) + "\n")
     if not res.converged:
         _fail(1, "non_convergence", f"flow stopped at t={res.elapsed} with grad_norm={res.final_grad_norm}")

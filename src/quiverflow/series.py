@@ -14,11 +14,13 @@ codimension -sum_{j<k} <v_j, v_k> splits after the first part, and
 and no type is enumerated. It runs on integers over the sub-vector lattice
 of v (`quiver._Lattice`), built once per call: a sub-vector is its
 mixed-radix index, a slope is an integer level and an exponent is a dot
-product with the sub-vector's Euler row. Inside the recursion a series is a
-plain tuple of s-coefficients, and each term is added by `_mac`, the one
-truncated convolution of the module, which `TruncatedSeries.__mul__` calls
-too. `reconstruct_BG_check` keeps the whole-type sum as an independent check
-of the same identity.
+product with the sub-vector's Euler row. Inside the recursion a series is
+one int with a fixed-width slot per s-coefficient, so each term is one
+big-int product; the slot width and the guard on it are argued in
+`poincare_semistable`. `_mac`, the truncated convolution of coefficient
+tuples, serves `TruncatedSeries.__mul__` alone, whose coefficients may be
+negative. `reconstruct_BG_check` keeps the whole-type sum as an independent
+check of the same identity.
 
 Coefficients are exact Python ints; operations never read beyond the
 truncation degree.
@@ -52,13 +54,27 @@ def _trim(c: Sequence[int]) -> SCoeffs:
     return tuple(c[:n])
 
 
-def _mac(acc: list[int], x: SCoeffs, y: SCoeffs, e: int) -> None:
-    """acc += s^e * x * y, truncated at s^(len(acc) - 1); 0 <= e < len(acc)."""
-    n = len(acc) - e
-    for i, xi in enumerate(x[:n], e):
+def _mac(acc: list[int], x: SCoeffs, y: SCoeffs) -> None:
+    """acc += x * y, truncated at s^(len(acc) - 1)."""
+    n = len(acc)
+    for i, xi in enumerate(x[:n]):
         if xi:
-            for j, yj in enumerate(y[: n + e - i], i):
+            for j, yj in enumerate(y[: n - i], i):
                 acc[j] += xi * yj
+
+
+def _pack(c: Sequence[int], k: int) -> int:
+    """Nonnegative s-coefficients c as one int, c[j] in bits [k*j, k*j + k)."""
+    x = 0
+    for cj in reversed(c):
+        x = (x << k) | cj
+    return x
+
+
+def _unpack(x: int, k: int, n: int) -> SCoeffs:
+    """The first n k-bit slots of x as trimmed s-coefficients."""
+    slot = (1 << k) - 1
+    return _trim([(x >> k * j) & slot for j in range(n)])
 
 
 def _geometric(c: list[int], j: int) -> None:
@@ -126,7 +142,7 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         acc = [0] * (self.max_degree // 2 + 1)
-        _mac(acc, self.s_coeffs, other.s_coeffs, 0)
+        _mac(acc, self.s_coeffs, other.s_coeffs)
         return TruncatedSeries._from_s(self.max_degree, acc)
 
     def shift(self, k: int) -> "TruncatedSeries":
@@ -160,8 +176,9 @@ def poincare_BG(v: Sequence[int], max_degree: int) -> TruncatedSeries:
 
 class SeriesInvariantError(RuntimeError):
     """An internal invariant of the Poincare recursion failed: a term with
-    nonzero factors carries a negative power of t. Valid input never raises
-    it."""
+    nonzero factors carries a negative power of t, or a coefficient leaves
+    its packed slot (negative, or past the bound P(BG_v)[top]). Valid input
+    never raises it."""
 
 
 def poincare_semistable(
@@ -197,8 +214,34 @@ def poincare_semistable(
     call; only a caller-shared `_memo` keys P_ss on exact (w, a_w,
     max_degree), so it serves calls on other dimension vectors and degrees,
     and a call whose (v, a_v, max_degree) it holds builds no lattice.
-    Both are trimmed s-coefficient tuples, the zero series is (), and each
-    term is accumulated in place by `_mac`.
+
+    Every series inside the call is one Python int with a k-bit slot per
+    s-coefficient (Kronecker substitution): coefficient j sits in bits
+    [k*j, k*j + k), and slots above s^top (top = max_degree // 2) are
+    dropped by one AND with `mask`. A term is `acc += (p * r) << (k * e)`,
+    one big-int product, and a first-part sum is masked once at its end.
+    P(BG_w) is the masked product of the per-dimension factors
+    `poincare_BG((d,), max_degree)`, packed once per call, so `poincare_BG`
+    stays the one definition of BG. The caller-shared `_memo` holds trimmed
+    s-coefficient tuples, since its entries serve calls with another k: a
+    hit is packed on load and a new entry unpacked on store. The result is
+    unpacked once.
+
+    The slot width k = bit_length(P(BG_v)[top]) + 1 is exact. Each P_ss(w),
+    R(u, s), term and running sum is a sub-sum, term by term nonnegative, of
+    the stratification identity P(BG_u) = sum over all HN types of u, for
+    some u <= v. So each of its coefficients up to s^top is at most
+    P(BG_u)[top] <= P(BG_v)[top] < 2^(k-1): every factor 1/(1 - s^j) has
+    nonnegative coefficients, 1/(1 - s) makes them nondecreasing, and u <= v
+    only drops factors. No kept slot overflows. A product's slots above
+    s^top may overflow, but carries move only upward, into slots the mask
+    drops. P_ss(w) = P(BG_w) - acc is nonnegative slot by slot, so the
+    subtraction never borrows.
+
+    The guard checks each new P_ss and R with one AND against `high`, the
+    top bit of every slot. A negative coefficient borrows from the slot
+    above and leaves its own top bit set, and a coefficient that reaches
+    2^(k-1) sets it too; either raises `SeriesInvariantError`.
 
     A slope-feasible type with an empty stratum has some factor equal to the
     zero series. A term with a zero factor is skipped whatever its exponent,
@@ -220,13 +263,27 @@ def poincare_semistable(
     lat = _Lattice(q, v, a)
     vecs, levels, rows = lat.vecs, lat.levels, lat.rows
     top = max_degree // 2  # truncation degree in s
-    found: list = [None] * len(vecs)  # P_ss by index; the memo unless shared
+    k = poincare_BG(v, max_degree).s_coeffs[top].bit_length() + 1
+    mask = (1 << k * (top + 1)) - 1
+    high = mask // ((1 << k) - 1) << (k - 1)
+    factors = [1] + [
+        _pack(poincare_BG((d,), max_degree).s_coeffs, k) for d in range(1, max(v) + 1)
+    ]
+    found: list = [None] * len(vecs)  # packed P_ss by index
     tails: dict = {}
 
-    def first_parts(u: int, below: int, whole: bool) -> list[int]:
+    def checked(x: int, u: int) -> int:
+        if x & high:
+            raise SeriesInvariantError(
+                f"a coefficient at {vecs[u]} left its {k}-bit slot: "
+                f"negative or at least 2^{k - 1}"
+            )
+        return x
+
+    def first_parts(u: int, below: int, whole: bool) -> int:
         """Sum over first parts w of u with level < below; w = u only when
         `whole`."""
-        acc = [0] * (top + 1)
+        acc = 0
         ws = lat.subs(u)
         for w in ws if whole else ws[:-1]:
             if levels[w] >= below:
@@ -246,33 +303,37 @@ def poincare_semistable(
                     f"negative exponent {e} on a nonzero term: "
                     f"first part {vecs[w]} of {vecs[u]}"
                 )
-            _mac(acc, p, r, e)
-        return acc
+            acc += (p * r) << (k * e)
+        return acc & mask
 
-    def tail(u: int, below: int) -> SCoeffs:
+    def tail(u: int, below: int) -> int:
         if not u:
-            return (1,)
+            return 1
         key = (u, below)
         if key not in tails:
-            tails[key] = _trim(first_parts(u, below, True))
+            tails[key] = checked(first_parts(u, below, True), u)
         return tails[key]
 
-    def compute(w: int) -> SCoeffs:
-        bg = poincare_BG(vecs[w], max_degree).s_coeffs
-        return _trim([x - y for x, y in zip(bg, first_parts(w, lat.n_levels, False))])
+    def compute(w: int) -> int:
+        bg = 1
+        for d in vecs[w]:
+            bg = bg * factors[d] & mask
+        return checked(bg - first_parts(w, lat.n_levels, False), w)
 
-    def ss(w: int) -> SCoeffs:
+    def ss(w: int) -> int:
         if found[w] is None:
             if _memo is None:
                 found[w] = compute(w)
             else:
-                k = key(vecs[w], lat.slope(w))
-                if k not in _memo:
-                    _memo[k] = compute(w)
-                found[w] = _memo[k]
+                mk = key(vecs[w], lat.slope(w))
+                if mk in _memo:
+                    found[w] = _pack(_memo[mk], k)
+                else:
+                    found[w] = compute(w)
+                    _memo[mk] = _unpack(found[w], k, top + 1)
         return found[w]
 
-    return TruncatedSeries._from_s(max_degree, ss(len(vecs) - 1))
+    return TruncatedSeries._from_s(max_degree, _unpack(ss(len(vecs) - 1), k, top + 1))
 
 
 def reconstruct_BG_check(

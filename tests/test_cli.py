@@ -2,6 +2,7 @@
 and byte-for-byte determinism under a fixed seed."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,7 @@ def test_flow_command_stats_file(tmp_path):
     assert 0 < doc["h_min"] <= doc["h_max"]
     assert 0 <= doc["n_stiff_capped"] <= doc["n_accepted"]
     assert 0 <= doc["level_margin"] < 1e-6 and 0 <= doc["offdiag_residue"] < 1e-4
+    assert all(math.isfinite(doc[k]) and doc[k] >= 0 for k in ("integrate_s", "classify_s"))
     # a start at a critical point takes no step: h_min is written as null;
     # the zero representation's eigenvalues are exactly -a
     zero = tmp_path / "zero.json"

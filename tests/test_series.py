@@ -221,22 +221,26 @@ def test_kirwan_surjectivity_kronecker_moduli():
 
 
 # slope-feasible types with empty strata: each of these raised "negative
-# codimension" when the recursion read a type's codimension before its factors
+# codimension" when the recursion read a type's codimension before its factors;
+# the two Kronecker cases are also taken to degrees 60 and 80, whose
+# coefficients reach 9 and 18 bits, so the packed series span many words
 EMPTY_STRATUM_CASES = {
-    "triangle-202": (TRIANGLE, (2, 0, 2), (-1, 0, 1)),
-    "triangle-232": (TRIANGLE, (2, 3, 2), _trace_free((2, 3, 2), (2, -1, -1))),
-    "kronecker3-45": (KRONECKER3, (4, 5), (5, -4)),
-    "kronecker3-55": (KRONECKER3, (5, 5), (5, -5)),
+    "triangle-202": (TRIANGLE, (2, 0, 2), (-1, 0, 1), 24),
+    "triangle-232": (TRIANGLE, (2, 3, 2), _trace_free((2, 3, 2), (2, -1, -1)), 24),
+    "kronecker3-45": (KRONECKER3, (4, 5), (5, -4), 24),
+    "kronecker3-55": (KRONECKER3, (5, 5), (5, -5), 24),
+    "kronecker3-45-deg60": (KRONECKER3, (4, 5), (5, -4), 60),
+    "kronecker3-55-deg80": (KRONECKER3, (5, 5), (5, -5), 80),
 }
 
 
 @pytest.mark.parametrize("case", list(EMPTY_STRATUM_CASES))
 def test_empty_strata_match_reineke(case):
-    q, v, values = EMPTY_STRATUM_CASES[case]
+    q, v, values, max_degree = EMPTY_STRATUM_CASES[case]
     a = StabilityParam.trace_free(q, v, values)
-    s = poincare_semistable(q, v, a, 24)
-    assert s.coeffs == reineke_series(q.edge_indices(), v, values, 24)
-    assert reconstruct_BG_check(q, v, a, 24).is_zero()
+    s = poincare_semistable(q, v, a, max_degree)
+    assert s.coeffs == reineke_series(q.edge_indices(), v, values, max_degree)
+    assert reconstruct_BG_check(q, v, a, max_degree).is_zero()
 
 
 @st.composite
@@ -275,6 +279,22 @@ def test_negative_exponent_is_an_invariant_error():
         poincare_semistable(q, v, a, 4)
     assert not isinstance(exc.value, QuiverError)
     assert "first part (1, 0) of (1, 1)" in str(exc.value)
+
+
+def test_negative_coefficient_is_an_invariant_error(monkeypatch):
+    # no valid input gives P_ss a negative coefficient; force one by cutting
+    # the per-dimension factor 1/(1 - s) to its constant term, so that
+    # P(BG_(1,1)) = 1 while the unstable stratum still contributes s
+    q, v, a = a2()
+    real = series.poincare_BG
+
+    def low(dims, max_degree):
+        return TruncatedSeries.one(max_degree) if dims == (1,) else real(dims, max_degree)
+
+    monkeypatch.setattr(series, "poincare_BG", low)
+    with pytest.raises(SeriesInvariantError, match="slot") as exc:
+        poincare_semistable(q, v, a, 4)
+    assert not isinstance(exc.value, QuiverError)
 
 
 # loops at 1 and 3, two parallel edges 1 -> 2 and a 2-cycle between 2 and 3
