@@ -77,6 +77,7 @@ from .strata import (
 from .series import (
     SeriesInvariantError,
     TruncatedSeries,
+    nonempty_hn_types,
     poincare_BG,
     poincare_semistable,
     reconstruct_BG_check,

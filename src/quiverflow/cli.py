@@ -47,9 +47,7 @@ from .quiver import (
     QuiverError,
     StabilityParam,
     codimension,
-    enumerate_hn_types,
     rank,
-    shifted_param,
     slope,
 )
 from .repspace import (
@@ -59,7 +57,7 @@ from .repspace import (
     finite_difference_check,
     grad_norm,
 )
-from .series import SeriesInvariantError, poincare_semistable
+from .series import SeriesInvariantError, nonempty_hn_types, poincare_semistable
 from .strata import ClassificationError, RankAmbiguityError, critical_of_flow
 
 
@@ -148,9 +146,13 @@ def rep_to_doc(A: Representation) -> dict:
 
 def rep_from_doc(q: Quiver, dims, doc: dict) -> Representation:
     try:
-        mats = []
-        for (out_i, in_i), rows in zip(q.edge_indices(), doc["matrices"]):
-            mats.append(_mat_from_json(rows, (dims[in_i], dims[out_i])))
+        entries = doc["matrices"]
+        if len(entries) != len(q.edges):
+            raise ValueError(f"{len(entries)} matrices for {len(q.edges)} edges")
+        mats = [
+            _mat_from_json(rows, (dims[in_i], dims[out_i]))
+            for (out_i, in_i), rows in zip(q.edge_indices(), entries)
+        ]
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise InputError(f"malformed representation file: {e}")
     return Representation(q, dims, mats)
@@ -236,19 +238,9 @@ def cmd_strata(args) -> int:
     q, dims, a = load_quiver_file(args.quiver)
     if args.max_length is not None and args.max_length < 1:
         raise InputError("--max-length must be >= 1")
-    memo: dict = {}
-
-    def empty(part) -> bool:
-        # the constant term of P_ss is 1 on a nonempty semistable locus, 0 on
-        # an empty one; a stratum is empty when some part's locus is
-        p = poincare_semistable(q, part, shifted_param(q, part, a), 0, _memo=memo)
-        return p.coeffs[0] == 0
-
     out = []
-    for t in enumerate_hn_types(q, dims, a):
+    for t in nonempty_hn_types(q, dims, a):
         if args.max_length is not None and len(t) > args.max_length:
-            continue
-        if any(empty(part) for part in t):
             continue
         out.append(
             {
@@ -288,10 +280,10 @@ def cmd_sigma(args) -> int:
     else:
         try:
             with open(args.g0) as fh:
-                doc = json.load(fh)
-            g0 = GaugeElement(
-                [_mat_from_json(rows, (d, d)) for rows, d in zip(doc["blocks"], dims)]
-            )
+                blocks = json.load(fh)["blocks"]
+            if len(blocks) != len(dims):
+                raise ValueError(f"{len(blocks)} blocks for {len(dims)} vertices")
+            g0 = GaugeElement([_mat_from_json(rows, (d, d)) for rows, d in zip(blocks, dims)])
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed gauge file: {e}")
     cfg = _flow_config(args)

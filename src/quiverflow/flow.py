@@ -189,9 +189,6 @@ class FlowResult:
     n_steps: int
     # state at the first locked gradient dip (saddle flyby), if any
     dip_state: Representation | None = None
-    dip_t: float | None = None
-    dip_grad_norm: float | None = None
-    dip_f: float | None = None
     stats: FlowStats = field(default_factory=FlowStats)
     # which state strata.critical_of_flow classified: "dip" (the refined
     # saddle-flyby state) or "endpoint"; None until it has run
@@ -217,7 +214,7 @@ class _DriverOut:
     g: float
     converged: bool
     stats: FlowStats
-    # (grad norm, state, t, f) at the locked dip, if any
+    # (grad norm, state) at the locked dip, if any
     dip: tuple | None
 
 
@@ -268,7 +265,7 @@ def _integrate(
     stage(y, K[0])
     fs, g = measure(K[0])
     on_sample(t, y, fs, g)
-    run_min = (g, y, t, fs)
+    run_min = (g, y)
     dip = None
     rejected = False
     while True:
@@ -308,7 +305,7 @@ def _integrate(
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
             if g < run_min[0]:
-                run_min = (g, y, t, fs)
+                run_min = (g, y)
             elif dip is None and run_min[0] < _SADDLE_TOL and g > 10 * run_min[0]:
                 dip = run_min
             if stats.n_accepted % cfg.sample_stride == 0:
@@ -402,8 +399,7 @@ def _result(lo: _DriverOut, to_rep, samples: list[FlowSample]) -> FlowResult:
         stats=lo.stats,
     )
     if lo.dip is not None:
-        res.dip_grad_norm, dip_y, res.dip_t, res.dip_f = lo.dip
-        res.dip_state = to_rep(dip_y)
+        res.dip_state = to_rep(lo.dip[1])
     return res
 
 

@@ -178,10 +178,6 @@ class _Lattice:
             self._subs[i] = out
         return out
 
-    def slope(self, i: int) -> Fraction:
-        """The exact slope of vecs[i] (nonzero)."""
-        return Fraction(self.degrees[i], self.ranks[i] * self.denom)
-
 
 def check_hn_type(q: Quiver, v: Sequence[int], a: StabilityParam, t: HNType) -> None:
     """Validate HNType invariants: nonzero parts summing to v, slopes strictly
@@ -205,12 +201,9 @@ def enumerate_hn_types(
     """All ordered compositions of v into nonzero parts with strictly
     decreasing slopes, in lexicographic order on the flattened tuple.
 
-    Slope-feasible types whose stratum is empty are not pruned here. Such a
-    type has a part with an empty semistable locus, i.e. a zero
-    `poincare_semistable` factor, and its `codimension` may be negative and
-    raise: callers that read codimensions (`reconstruct_BG_check`, the CLI
-    `strata` command) skip it by that test first. `poincare_semistable`
-    sums over first parts and does not enumerate types.
+    Slope-feasible types whose stratum is empty are not pruned here, and
+    the `codimension` of such a type may be negative and raise;
+    `series.nonempty_hn_types` gives the types with a nonempty stratum.
     """
     # every part is a nonzero sub-vector of v: slopes compare as lattice levels
     lat = _Lattice(q, q.check_dims(v), a)

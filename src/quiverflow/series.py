@@ -14,9 +14,11 @@ codimension -sum_{j<k} <v_j, v_k> splits after the first part, and
 and no type is enumerated. It runs on integers over the sub-vector lattice
 of v (`quiver._Lattice`), built once per call: a sub-vector is its
 mixed-radix index, a slope is an integer level and an exponent is a dot
-product with the sub-vector's Euler row. Inside the recursion a series is
-one int with a fixed-width slot per s-coefficient, so each term is one
-big-int product; the slot width and the guard on it are argued in
+product with the sub-vector's Euler row. The one lattice of v gives P_ss of
+every sub-vector of v (`_semistable_table`), which `nonempty_hn_types` and
+`reconstruct_BG_check` read for the parts of v's types. Inside the recursion
+a series is one int with a fixed-width slot per s-coefficient, so each term
+is one big-int product; the slot width and the guard on it are argued in
 `poincare_semistable`. `_mac`, the truncated convolution of coefficient
 tuples, serves `TruncatedSeries.__mul__` alone, whose coefficients may be
 negative. `reconstruct_BG_check` keeps the whole-type sum as an independent
@@ -31,17 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .quiver import (
+    DimVector,
+    HNType,
     Quiver,
     StabilityParam,
     _Lattice,
     codimension,
     enumerate_hn_types,
     rank,
-    shifted_param,
-    slope,
 )
 
 SCoeffs = tuple[int, ...]  # coefficients in s = t^2, no trailing zero
@@ -186,7 +188,6 @@ def poincare_semistable(
     v: Sequence[int],
     a: StabilityParam,
     max_degree: int,
-    _memo: dict | None = None,
 ) -> TruncatedSeries:
     """Equivariant Poincare series of the semistable locus, computed by the
     Morse-stratification recursion summed over the first HN part.
@@ -211,9 +212,7 @@ def poincare_semistable(
     denominator of a, compared once per call, and the exponent -<w, u-w> is
     the dot product of w's Euler row with u - w. No Fraction is built per
     sub-vector. P_ss is kept per index and R per (index, level) within the
-    call; only a caller-shared `_memo` keys P_ss on exact (w, a_w,
-    max_degree), so it serves calls on other dimension vectors and degrees,
-    and a call whose (v, a_v, max_degree) it holds builds no lattice.
+    call.
 
     Every series inside the call is one Python int with a k-bit slot per
     s-coefficient (Kronecker substitution): coefficient j sits in bits
@@ -222,10 +221,7 @@ def poincare_semistable(
     one big-int product, and a first-part sum is masked once at its end.
     P(BG_w) is the masked product of the per-dimension factors
     `poincare_BG((d,), max_degree)`, packed once per call, so `poincare_BG`
-    stays the one definition of BG. The caller-shared `_memo` holds trimmed
-    s-coefficient tuples, since its entries serve calls with another k: a
-    hit is packed on load and a new entry unpacked on store. The result is
-    unpacked once.
+    stays the one definition of BG. The result is unpacked once.
 
     The slot width k = bit_length(P(BG_v)[top]) + 1 is exact. Each P_ss(w),
     R(u, s), term and running sum is a sub-sum, term by term nonnegative, of
@@ -249,18 +245,20 @@ def poincare_semistable(
     both nonzero raises `SeriesInvariantError`.
     """
     v = q.check_dims(v)
+    return _semistable_table(q, v, a, max_degree)(v)
+
+
+def _semistable_table(
+    q: Quiver, v: DimVector, a: StabilityParam, max_degree: int
+) -> Callable[[Sequence[int]], TruncatedSeries]:
+    """The `poincare_semistable` recursion on the lattice of v, as a map
+    from each sub-vector w <= v to P_ss(w, a). Shifting a by a constant
+    changes no slope comparison, so P_ss(w, a) = P_ss(w, shifted_param(w, a)),
+    and one table serves every part of every HN type of v. Each P_ss is
+    computed at most once, on first read."""
     if rank(v) < 1:
         raise ValueError("rank must be >= 1")
-    a = StabilityParam(a)
-
-    def key(vec, mu):
-        return (vec, tuple(x - mu for x in a.values), max_degree)
-
-    if _memo is not None:
-        known = _memo.get(key(v, slope(q, v, a)))
-        if known is not None:
-            return TruncatedSeries._from_s(max_degree, known)
-    lat = _Lattice(q, v, a)
+    lat = _Lattice(q, v, StabilityParam(a))
     vecs, levels, rows = lat.vecs, lat.levels, lat.rows
     top = max_degree // 2  # truncation degree in s
     k = poincare_BG(v, max_degree).s_coeffs[top].bit_length() + 1
@@ -322,18 +320,24 @@ def poincare_semistable(
 
     def ss(w: int) -> int:
         if found[w] is None:
-            if _memo is None:
-                found[w] = compute(w)
-            else:
-                mk = key(vecs[w], lat.slope(w))
-                if mk in _memo:
-                    found[w] = _pack(_memo[mk], k)
-                else:
-                    found[w] = compute(w)
-                    _memo[mk] = _unpack(found[w], k, top + 1)
+            found[w] = compute(w)
         return found[w]
 
-    return TruncatedSeries._from_s(max_degree, _unpack(ss(len(vecs) - 1), k, top + 1))
+    def table(w: Sequence[int]) -> TruncatedSeries:
+        p = ss(sum(map(mul, w, lat.strides)))
+        return TruncatedSeries._from_s(max_degree, _unpack(p, k, top + 1))
+
+    return table
+
+
+def nonempty_hn_types(q: Quiver, v: Sequence[int], a: StabilityParam) -> list[HNType]:
+    """The HN types of v whose stratum is nonempty, in the order of
+    `enumerate_hn_types`, the trivial type (v,) included when the semistable
+    locus of v is nonempty. A stratum is empty exactly when some part's
+    semistable series has constant term 0 (Reineke 2003), and only a
+    nonempty stratum has a codimension that `codimension` accepts."""
+    table = _semistable_table(q, q.check_dims(v), a, 0)
+    return [t for t in enumerate_hn_types(q, v, a) if all(table(p).s_coeffs for p in t)]
 
 
 def reconstruct_BG_check(
@@ -344,18 +348,16 @@ def reconstruct_BG_check(
 
         P(BG) - [P_ss + sum_{L>=2} t^{2d} prod_i P_ss(v_i, a_i)]
 
-    which must come out identically zero. A type whose product of P_ss
-    factors is zero has an empty stratum and is skipped before its
-    codimension is read."""
+    which must come out identically zero. Every P_ss is read from one table
+    on the lattice of v. A type whose product of P_ss factors is zero has an
+    empty stratum and is skipped before its codimension is read."""
     v = q.check_dims(v)
-    memo: dict = {}
-    total = poincare_semistable(q, v, a, max_degree, _memo=memo)
+    table = _semistable_table(q, v, a, max_degree)
+    total = table(v)
     for t in enumerate_hn_types(q, v, a, include_trivial=False):
         term = TruncatedSeries.one(max_degree)
         for part in t:
-            term = term * poincare_semistable(
-                q, part, shifted_param(q, part, a), max_degree, _memo=memo
-            )
+            term = term * table(part)
         if not term.is_zero():
             total = total + term.shift(2 * codimension(q, t))
     return poincare_BG(v, max_degree) - total

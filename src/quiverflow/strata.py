@@ -640,7 +640,6 @@ class GradedLimitReport:
     type_match: bool
     isomorphic: bool
     hom_dimension: int
-    limit_f: float
 
 
 def verify_graded_limit(
@@ -660,7 +659,6 @@ def verify_graded_limit(
         type_match=crit.hn_type == filt.hn_type,
         isomorphic=iso.isomorphic,
         hom_dimension=iso.hom_dimension,
-        limit_f=f_value(q, A_inf, a),
     )
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +15,21 @@ settings.load_profile("tier1")
 @pytest.fixture(params=list(BUILTINS))
 def builtin(request):
     return BUILTINS[request.param]()
+
+
+TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
+
+
+def kronecker(m) -> Quiver:
+    """The m-Kronecker quiver: m parallel edges 1 -> 2."""
+    return Quiver(("1", "2"), (("1", "2"),) * m)
+
+
+def trace_free(v, base) -> tuple[Fraction, ...]:
+    """The parameter base shifted by its slope on v, so that it is
+    trace-free on v."""
+    mu = Fraction(sum(Fraction(x) * d for x, d in zip(base, v)), sum(v))
+    return tuple(Fraction(x) - mu for x in base)
 
 
 def random_unitary_gauge(dims, rng) -> GaugeElement:

@@ -257,7 +257,7 @@ def test_exit_code_2_on_trace_free_violation(tmp_path):
     assert err["error"] == "trace_free_violation"
 
 
-def test_exit_code_2_on_malformed_file(tmp_path):
+def test_exit_code_2_on_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     p = run_cli("poincare", "--quiver", str(path))
@@ -265,6 +265,28 @@ def test_exit_code_2_on_malformed_file(tmp_path):
     assert json.loads(p.stderr)["error"] == "input_error"
     p2 = run_cli("flow", "--quiver", str(tmp_path / "missing.json"))
     assert p2.returncode == 2
+    # a representation or gauge file must hold one matrix per edge or vertex
+    from quiverflow import double
+
+    q, v, _ = star21()
+    rng = np.random.default_rng(0)
+    mats = rep_to_doc(Representation.random(q, v, rng))["matrices"]
+    doubled = rep_to_doc(Representation.random(double(q), v, rng))["matrices"]
+    blocks = [[[[float(i == j), 0.0] for j in range(d)] for i in range(d)] for d in v]
+    cases = [
+        ("flow", "--init", {"matrices": mats + mats[:1]}),
+        ("hkflow", "--init", {"matrices": doubled + doubled[:1]}),
+        ("sigma", "--g0", {"blocks": blocks[:1]}),
+        ("sigma", "--g0", {"blocks": blocks + blocks[:1]}),
+    ]
+    for i, (command, flag, doc) in enumerate(cases):
+        path = tmp_path / f"miscounted{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--quiver", "star21", flag, str(path)])
+        assert exc.value.code == 2, (command, i)
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "input_error", (command, i)
 
 
 def test_exit_code_2_on_rank_zero_dims(tmp_path, capsys):

@@ -3,7 +3,8 @@ module-level private name is read somewhere in the package, every function
 the benchmark's tracer wraps exists, every defaulted parameter of a public
 function or method, or of a module-level private function, is set by some
 call, every exported name is read in the package or named in the
-README, and every exception class the package defines is raised in it."""
+README, every exception class the package defines is raised in it, and
+every dataclass field is read somewhere."""
 
 import ast
 import builtins
@@ -244,3 +245,41 @@ def test_error_classes_are_raised():
     assert classes
     raised = set().union(*(raised_names(p) for p in SRC.glob("*.py")))
     assert [f"{path}: {name}" for name, path in classes.items() if name not in raised] == []
+
+
+def dataclass_fields() -> list[tuple[str, str, str]]:
+    """(file, class, field) for every annotated field of a class the package
+    decorates with @dataclass, bare or called."""
+    fields = []
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            fields += [
+                (path.name, node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def test_dataclass_fields_are_read():
+    # a field is read as an attribute in the package, the tests or the
+    # benchmark, named there by a string constant (columns read by getattr),
+    # or named in the README; a field that is only ever written is dead
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "qfbench").glob("*.py")]
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    fields = dataclass_fields()
+    assert fields
+    unread = [f"{m}: {c}.{n}" for m, c, n in fields if n not in read | documented]
+    assert unread == []

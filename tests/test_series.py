@@ -3,6 +3,7 @@ recursion, with an independent partition-counting oracle for the
 classifying-space series and Reineke's resolution as the oracle for the
 semistable series."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,24 +19,22 @@ from quiverflow import (
     StabilityParam,
     TruncatedSeries,
     a2,
+    codimension,
     enumerate_hn_types,
     euler_form,
     jordan2,
+    nonempty_hn_types,
     poincare_BG,
     poincare_semistable,
     reconstruct_BG_check,
     shifted_param,
     star21,
+    two_filtered_param,
 )
 from quiverflow import series
+from conftest import TRIANGLE, kronecker, trace_free
 
-KRONECKER3 = Quiver(("1", "2"), (("1", "2"),) * 3)
-TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
-
-
-def _trace_free(v, base):
-    mu = Fraction(sum(Fraction(x) * d for x, d in zip(base, v)), sum(v))
-    return tuple(Fraction(x) - mu for x in base)
+KRONECKER3 = kronecker(3)
 
 
 def test_series_arithmetic():
@@ -143,23 +142,6 @@ def test_reconstruct_BG_zero_residual():
     assert reconstruct_BG_check(q, v, a_rev, 12).is_zero()
 
 
-def test_memo_disabled_matches():
-    q, v, a = star21()
-    with_memo = poincare_semistable(q, v, a, 12)
-    # a fresh empty memo per call recomputes everything
-    fresh = poincare_semistable(q, v, a, 12, _memo={})
-    assert with_memo.coeffs == fresh.coeffs
-
-
-def test_memo_shared_across_degrees():
-    q, v, a = star21()
-    memo: dict = {}
-    assert poincare_semistable(q, v, a, 0, _memo=memo).coeffs == (1,)
-    shared = poincare_semistable(q, v, a, 12, _memo=memo)
-    assert shared.coeffs == poincare_semistable(q, v, a, 12).coeffs
-    assert shared.coeffs[2] != 0
-
-
 def _even(s_coeffs):
     """t-coefficients of the series with s = t^2 coefficients s_coeffs."""
     return [c for x in s_coeffs for c in (x, 0)]
@@ -179,10 +161,6 @@ def test_ring_axioms(c1, c2, c3):
     assert (x * (y + z)).coeffs == (x * y + x * z).coeffs
 
 
-def _kronecker(m):
-    return Quiver(("1", "2"), (("1", "2"),) * m)
-
-
 def _gaussian_binomial(m, k):
     """Coefficients of [m k] in q, by [m k] = [m-1 k-1] + q^k [m-1 k]."""
     if k == 0 or k == m:
@@ -199,7 +177,7 @@ def _gaussian_binomial(m, k):
 def _moduli_poincare(m, v):
     """(1 - t^2) P_ss on the m-Kronecker quiver at a = (v2, -v1), truncated
     two s-degrees past the moduli dimension 1 - <v, v>, and that dimension."""
-    q = _kronecker(m)
+    q = kronecker(m)
     dim = 1 - euler_form(q, v, v)
     p = poincare_semistable(q, v, StabilityParam((v[1], -v[0])), 2 * dim + 4)
     return (p - p.shift(2)).coeffs, dim
@@ -226,7 +204,7 @@ def test_kirwan_surjectivity_kronecker_moduli():
 # coefficients reach 9 and 18 bits, so the packed series span many words
 EMPTY_STRATUM_CASES = {
     "triangle-202": (TRIANGLE, (2, 0, 2), (-1, 0, 1), 24),
-    "triangle-232": (TRIANGLE, (2, 3, 2), _trace_free((2, 3, 2), (2, -1, -1)), 24),
+    "triangle-232": (TRIANGLE, (2, 3, 2), trace_free((2, 3, 2), (2, -1, -1)), 24),
     "kronecker3-45": (KRONECKER3, (4, 5), (5, -4), 24),
     "kronecker3-55": (KRONECKER3, (5, 5), (5, -5), 24),
     "kronecker3-45-deg60": (KRONECKER3, (4, 5), (5, -4), 60),
@@ -254,7 +232,7 @@ def quiver_inputs(draw):
     base = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
     names = tuple(str(i) for i in range(n))
     q = Quiver(names, tuple((names[s], names[t]) for s, t in edges))
-    return q, v, _trace_free(v, base)
+    return q, v, trace_free(v, base)
 
 
 @settings(max_examples=60)
@@ -311,7 +289,7 @@ def test_lattice_denominators_match_reineke(d):
     # the shifted parameter is an lcm of unequal denominators
     base = (Fraction(d - 1, d), Fraction(5 - 2 * d, d + 1), Fraction(d - 4, 7))
     for sign, v in itertools.product((1, -1), LOOPY_DIMS):
-        values = _trace_free(v, [sign * x for x in base])
+        values = trace_free(v, [sign * x for x in base])
         a = StabilityParam.trace_free(LOOPY, v, values)
         s = poincare_semistable(LOOPY, v, a, 12)
         assert s.coeffs == reineke_series(LOOPY.edge_indices(), v, values, 12), v
@@ -320,31 +298,29 @@ def test_lattice_denominators_match_reineke(d):
         assert poincare_semistable(LOOPY, v, scaled, 12).coeffs == s.coeffs, v
 
 
-def test_shared_memo_and_reconstruction_on_k3_and_triangle():
+def test_table_parts_match_their_own_series():
+    # shifting the parameter by a constant changes no slope comparison, so
+    # the one table of v gives every part's series under its shifted
+    # parameter
     cases = [
         (KRONECKER3, (2, 3), (3, -2)),
         (KRONECKER3, (3, 3), (3, -3)),
-        (TRIANGLE, (2, 2, 2), _trace_free((2, 2, 2), (2, -1, -1))),
-        (TRIANGLE, (1, 2, 1), _trace_free((1, 2, 1), (1, 1, -3))),
+        (TRIANGLE, (2, 2, 2), trace_free((2, 2, 2), (2, -1, -1))),
+        (TRIANGLE, (1, 2, 1), trace_free((1, 2, 1), (1, 1, -3))),
     ]
     for q, v, values in cases:
         a = StabilityParam.trace_free(q, v, values)
-        unshared = poincare_semistable(q, v, a, 12).coeffs
-        memo: dict = {}
-        assert poincare_semistable(q, v, a, 0, _memo=memo).coeffs == unshared[:1]
-        assert poincare_semistable(q, v, a, 12, _memo=memo).coeffs == unshared
-        # the shared memo serves every shifted part of every type
+        table = series._semistable_table(q, v, a, 12)
+        assert table(v).coeffs == poincare_semistable(q, v, a, 12).coeffs
         for t in enumerate_hn_types(q, v, a, include_trivial=False):
             for part in t:
-                ap = shifted_param(q, part, a)
-                shared = poincare_semistable(q, part, ap, 12, _memo=memo)
-                assert shared.coeffs == poincare_semistable(q, part, ap, 12).coeffs
+                alone = poincare_semistable(q, part, shifted_param(q, part, a), 12)
+                assert table(part).coeffs == alone.coeffs, (v, part)
         assert reconstruct_BG_check(q, v, a, 12).is_zero()
 
 
-def test_shared_memo_hit_builds_no_lattice(monkeypatch):
-    # a call whose (v, a - mu(v), max_degree) the memo holds returns before
-    # the lattice is built, so the whole-type check builds one, for v itself
+def test_reconstruction_builds_one_lattice(monkeypatch):
+    # every part of every type is read from the table on the lattice of v
     built = []
 
     class Counted(series._Lattice):
@@ -358,10 +334,45 @@ def test_shared_memo_hit_builds_no_lattice(monkeypatch):
         built.clear()
         assert reconstruct_BG_check(KRONECKER3, v, a, 24).is_zero()
         assert built == [v]
-        # without a shared memo every call builds its own lattice
-        part = (1, 1)
-        poincare_semistable(KRONECKER3, part, shifted_param(KRONECKER3, part, a), 24)
-        assert built == [v, part]
+
+
+@functools.cache
+def _reineke_nonempty(edges, part, values) -> bool:
+    return reineke_series(edges, part, values, 0)[0] == 1
+
+
+def _nonempty_cases():
+    """The inputs of the poincare-exact benchmark, and the four whose
+    slope-feasible empty types once raised "negative codimension"."""
+    star = star21()[0]
+    for k in range(2, 9):
+        yield star, (k, 1), two_filtered_param(star, (k, 1), "inf", -1)
+    for v in itertools.product(range(5), repeat=2):
+        if any(v):
+            yield KRONECKER3, v, StabilityParam((v[1], -v[0]))
+    for v in itertools.product(range(3), repeat=3):
+        if any(v):
+            yield TRIANGLE, v, StabilityParam(trace_free(v, (2, -1, -1)))
+    for name in ("triangle-202", "triangle-232", "kronecker3-45", "kronecker3-55"):
+        q, v, values, _ = EMPTY_STRATUM_CASES[name]
+        yield q, v, StabilityParam(values)
+
+
+def test_nonempty_hn_types_match_reineke():
+    dropped = 0
+    for q, v, a in _nonempty_cases():
+        edges = tuple(q.edge_indices())
+
+        def nonempty(part):
+            return _reineke_nonempty(edges, part, shifted_param(q, part, a).values)
+
+        every = enumerate_hn_types(q, v, a)
+        got = nonempty_hn_types(q, v, a)
+        assert got == [t for t in every if all(map(nonempty, t))], (q.edges, v)
+        for t in got:
+            codimension(q, t)
+        dropped += len(every) - len(got)
+    assert dropped > 0
 
 
 def test_wrong_parameter_length_raises():

@@ -35,7 +35,7 @@ from quiverflow import (
     jordan2,
     make_critical_point,
     make_hn_example,
-    poincare_semistable,
+    nonempty_hn_types,
     rho,
     sample_semistable,
     semistable_gap,
@@ -48,7 +48,7 @@ from quiverflow import (
     verify_graded_limit,
 )
 from quiverflow import strata
-from conftest import random_unitary_gauge
+from conftest import TRIANGLE, random_unitary_gauge, trace_free
 
 
 def test_classify_a2_zero():
@@ -162,7 +162,7 @@ def critical_point_cases():
         ((2, 2, 1), ((1, 1, 0), (1, 1, 1))),
         ((2, 2, 1), ((2, 2, 0), (0, 0, 1))),
     ]:
-        yield TRIANGLE, triangle_param(v), t, 0
+        yield TRIANGLE, StabilityParam(trace_free(v, (2, -1, -1))), t, 0
 
 
 def test_make_critical_point_laws():
@@ -413,22 +413,7 @@ def test_flow_to_critical_records_fallback_reason(monkeypatch):
     assert A_inf is res.final and crit.hn_type == ((2, 1),)
 
 
-TRIANGLE = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3")))
 TRIANGLE_DIMS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)]
-
-
-def triangle_param(v):
-    """(2, -1, -1) shifted to be trace-free on v."""
-    mu = Fraction(2 * v[0] - v[1] - v[2], sum(v))
-    return StabilityParam.trace_free(TRIANGLE, v, [2 - mu, -1 - mu, -1 - mu])
-
-
-def stratum_is_empty(q, hn_type, a):
-    """The exact answer: some part has a semistable series with constant
-    term 0."""
-    return any(
-        poincare_semistable(q, p, shifted_param(q, p, a), 0).coeffs[0] == 0 for p in hn_type
-    )
 
 
 def count_flows(monkeypatch) -> list:
@@ -452,7 +437,7 @@ def test_make_hn_example_not_slope_generic_part():
     # converges algebraically: a sampler that waits for grad_tol gives up
     # after minutes and reports the stratum empty
     v = (2, 2, 1)
-    a = triangle_param(v)
+    a = StabilityParam(trace_free(v, (2, -1, -1)))
     t0 = time.perf_counter()
     A, filt = make_hn_example(TRIANGLE, ((2, 1, 1), (0, 1, 0)), a, seed=0)
     assert time.perf_counter() - t0 < 5
@@ -464,9 +449,10 @@ def test_make_hn_example_triangle_coverage(monkeypatch):
     cfg = FlowConfig(max_time=100)
     built, empty = 0, 0
     for v in TRIANGLE_DIMS:
-        a = triangle_param(v)
+        a = StabilityParam(trace_free(v, (2, -1, -1)))
+        nonempty = nonempty_hn_types(TRIANGLE, v, a)
         for t in enumerate_hn_types(TRIANGLE, v, a, include_trivial=False):
-            if stratum_is_empty(TRIANGLE, t, a):
+            if t not in nonempty:
                 before = len(calls)
                 with pytest.raises(ConstructionError, match="exact series"):
                     make_hn_example(TRIANGLE, t, a, seed=0, cfg=cfg)
@@ -483,7 +469,7 @@ def test_make_hn_example_length_three_is_block_upper_triangular():
     # a length-3 triangle type: the diagonal blocks are the semistable
     # draws, the extensions lie above them, and nothing lies below
     v, t = (2, 2, 2), ((1, 0, 1), (1, 1, 1), (0, 1, 0))
-    A, filt = make_hn_example(TRIANGLE, t, triangle_param(v), seed=0)
+    A, filt = make_hn_example(TRIANGLE, t, StabilityParam(trace_free(v, (2, -1, -1))), seed=0)
     assert filt.hn_type == t
     lab = strata._part_labels(t)
     upper = 0.0
@@ -508,13 +494,13 @@ def gap_cases():
     for v, t, seed in [((3, 1), ((1, 1), (2, 0)), 3), ((4, 1), ((1, 1), (3, 0)), 2)]:
         yield qs, v, two_filtered_param(qs, v, "inf", -1), t, seed
     for v in TRIANGLE_DIMS:
-        a = triangle_param(v)
-        for t in enumerate_hn_types(TRIANGLE, v, a, include_trivial=False):
-            if not stratum_is_empty(TRIANGLE, t, a):
+        a = StabilityParam(trace_free(v, (2, -1, -1)))
+        for t in nonempty_hn_types(TRIANGLE, v, a):
+            if len(t) > 1:
                 yield TRIANGLE, v, a, t, 0
     for seed in (1, 2):
         v = (2, 2, 2)
-        yield TRIANGLE, v, triangle_param(v), ((1, 0, 1), (1, 1, 1), (0, 1, 0)), seed
+        yield TRIANGLE, v, StabilityParam(trace_free(v, (2, -1, -1))), ((1, 0, 1), (1, 1, 1), (0, 1, 0)), seed
 
 
 def test_gap_certificate_rejects_unstable_instances():
@@ -576,7 +562,7 @@ def test_sample_semistable_trivial_part_single_draw(monkeypatch):
 def test_sample_semistable_empty_locus_raises_without_flow(monkeypatch):
     v = (2, 0, 2)
     a = StabilityParam.trace_free(TRIANGLE, v, [-1, 0, 1])
-    assert stratum_is_empty(TRIANGLE, (v,), a)
+    assert (v,) not in nonempty_hn_types(TRIANGLE, v, a)
     calls = count_flows(monkeypatch)
     with pytest.raises(ConstructionError, match="is empty: the exact series"):
         sample_semistable(TRIANGLE, v, a, np.random.default_rng(0))
