@@ -111,7 +111,10 @@ def load_quiver_file(path: str) -> tuple[Quiver, tuple[int, ...], StabilityParam
         vertices = tuple(str(v) for v in doc["vertices"])
         edges = tuple((str(e["from"]), str(e["to"])) for e in doc["edges"])
         q = Quiver(vertices, edges)
-        dims = tuple(int(doc["dim"][v]) for v in vertices)
+        dims = tuple(doc["dim"][v] for v in vertices)
+        # bool is a subclass of int, and int() would truncate 1.7 to 1
+        if any(type(d) is not int for d in dims):
+            raise ValueError(f"dimensions must be integers, got {list(dims)}")
         alpha = [Fraction(str(doc["alpha"][v])) for v in vertices]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed quiver file: {e}")
@@ -135,9 +138,17 @@ def _mat_to_json(m: np.ndarray) -> list:
 
 
 def _mat_from_json(rows, shape) -> np.ndarray:
-    m = np.array([[complex(x[0], x[1]) for x in row] for row in rows], dtype=complex)
-    m = m.reshape(shape)
-    return m
+    """The matrix of `shape` written as shape[0] rows of shape[1] pairs
+    [re, im]; any other nesting, or an entry that is not a pair of numbers,
+    raises ValueError."""
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ValueError(f"matrix is not {shape[0]}x{shape[1]}")
+    pairs = [x for row in rows for x in row]
+    if not all(
+        type(x) is list and len(x) == 2 and all(type(c) in (int, float) for c in x) for x in pairs
+    ):
+        raise ValueError("every matrix entry must be a pair [re, im] of numbers")
+    return np.array([complex(*x) for x in pairs], dtype=complex).reshape(shape)
 
 
 def rep_to_doc(A: Representation) -> dict:

@@ -218,9 +218,7 @@ class _DriverOut:
     dip: tuple | None
 
 
-def _integrate(
-    system, y0: np.ndarray, cfg: FlowConfig, on_sample, stop_below: float | None = None
-) -> _DriverOut:
+def _integrate(system, y0: np.ndarray, cfg: FlowConfig, on_sample) -> _DriverOut:
     """The adaptive Dormand-Prince 8(5,3) driver shared by every flow.
 
     A trial step of size h sums the stage inputs Y[i] = y + (h A)[i, :i] K[:i]
@@ -248,12 +246,7 @@ def _integrate(
     on_sample(t, y, f, gnorm) is called on the initial state, every
     sample_stride-th accepted step, and the final state. The first state
     whose running-minimum gradient norm drops below _SADDLE_TOL and is later
-    exceeded tenfold gets locked as the dip record (saddle flyby).
-
-    The flow stops at the first state, the initial one or an accepted one,
-    whose f lies below stop_below (never, by default); converged then stays
-    False unless ||grad f|| is below grad_tol there too."""
-    stop_below = -math.inf if stop_below is None else stop_below
+    exceeded tenfold gets locked as the dip record (saddle flyby)."""
     stats = FlowStats(n_rhs=1)
     t = 0.0
     y = y0.astype(complex)
@@ -272,7 +265,7 @@ def _integrate(
         if g < cfg.grad_tol:
             converged = True
             break
-        if fs < stop_below or t >= cfg.max_time:
+        if t >= cfg.max_time:
             converged = False
             break
         h = min(h, _MAX_STEP, cfg.max_time - t)
@@ -409,13 +402,10 @@ def integrate_flow(
     a: StabilityParam,
     cfg: FlowConfig = FlowConfig(),
     extra: Callable[[Representation], float] | None = None,
-    *,
-    stop_below: float | None = None,
 ) -> FlowResult:
-    """Integrate dA/dt = -grad f from A0 until ||grad f|| < grad_tol,
-    max_time, or, when stop_below is given, the first state with
-    f < stop_below. `extra`, if given, is evaluated on each sample and
-    recorded in the phi_c_norm field of the trajectory."""
+    """Integrate dA/dt = -grad f from A0 until ||grad f|| < grad_tol or
+    max_time. `extra`, if given, is evaluated on each sample and recorded in
+    the phi_c_norm field of the trajectory."""
     emb = BlockEmbedding(q, A0.dims)
 
     def to_rep(y):
@@ -429,9 +419,7 @@ def integrate_flow(
             s.phi_c_norm = extra(to_rep(y))
         samples.append(s)
 
-    lo = _integrate(
-        _gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample, stop_below
-    )
+    lo = _integrate(_gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample)
     return _result(lo, to_rep, samples)
 
 
@@ -439,16 +427,14 @@ def integrate_gauge(
     q: Quiver,
     A0: Representation,
     a: StabilityParam,
-    cfg: FlowConfig = FlowConfig(),
     *,
-    stop_below: float | None = None,
     on_sample: Callable[[float, Representation, list[np.ndarray]], None] | None = None,
 ) -> tuple[FlowResult, list[np.ndarray]]:
     """Co-integrate the gradient flow A(t) and the gauge curve g(t) solving
-    dg/dt g^{-1} = 2 H(A(t)), g(0) = id; stop_below stops the flow as in
-    integrate_flow. Returns the flow result and the per-vertex blocks of the
-    final g, unchecked: on an unstable start g diverges, and its blocks may
-    be numerically singular. on_sample(t, A, g_blocks), if given, sees every
+    dg/dt g^{-1} = 2 H(A(t)), g(0) = id, under the default FlowConfig.
+    Returns the flow result and the per-vertex blocks of the final g,
+    unchecked: on an unstable start g diverges, and its blocks may be
+    numerically singular. on_sample(t, A, g_blocks), if given, sees every
     sample; it is how a caller reads the gauge curve."""
     emb = BlockEmbedding(q, A0.dims)
     n_rep = math.prod(emb.shape)
@@ -467,7 +453,7 @@ def integrate_gauge(
         if on_sample is not None:
             on_sample(t, to_rep(y), gauge_blocks(y))
 
-    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), cfg, sample, stop_below)
+    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), FlowConfig(), sample)
     return _result(lo, to_rep, samples), gauge_blocks(lo.y)
 
 

@@ -153,14 +153,6 @@ class TruncatedSeries:
             raise ValueError("shift must be even and nonnegative")
         return TruncatedSeries._from_s(self.max_degree, (0,) * (k // 2) + self.s_coeffs)
 
-    def geometric_factor(self, k: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - t^k), k even and >= 2."""
-        if k < 2 or k % 2:
-            raise ValueError("k must be even and >= 2")
-        out = list(self.s_coeffs) + [0] * (self.max_degree // 2 + 1 - len(self.s_coeffs))
-        _geometric(out, k // 2)
-        return TruncatedSeries._from_s(self.max_degree, out)
-
 
 def poincare_BG(v: Sequence[int], max_degree: int) -> TruncatedSeries:
     """Series of the classifying space of prod_l U(v_l):

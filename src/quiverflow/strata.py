@@ -3,21 +3,23 @@ HN type with orthonormal level bases) and its `coordinates`, the one change
 of basis used here. A `CriticalType` is a critical filtration plus its
 eigenvalues, each snapped to the exact -slope level of a sub-dimension-vector,
 and a constructed critical point is a refined graded object. Also flow-based
-HN typing, semistability certified at the critical-value gap (the sampler
-behind constructed instances), intertwiner (Hom) spaces, isomorphism
-certificates and the numeric tangent-space codimension check.
+HN typing, semistability certified at the critical-value gap by a descent on
+the gauge group (the sampler behind constructed instances), intertwiner (Hom)
+spaces, isomorphism certificates and the numeric tangent-space codimension
+check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, FlowResult, integrate_flow, integrate_gauge, _SADDLE_TOL
+from .flow import FlowConfig, FlowError, FlowResult, integrate_flow, _SADDLE_TOL
+from .flow import _INITIAL_STEP, _MAX_STEP, _MIN_STEP
 from .quiver import (
     HNType,
     Quiver,
@@ -353,12 +355,12 @@ _GAP_MARGIN = 1e-6
 
 @dataclass
 class GapCertificate:
-    """Outcome of flowing a representation B towards the critical-value gap
-    of its dimension vector (see certify_semistable). level is the gap less
-    the rounding margin; t and f are the time and value where the gradient
-    flow stopped. witness_f is f(g . B) and witness_cond the largest
-    condition number of a block of g, for the gauge element g co-integrated
-    up to t; both are None when the flow ended at or above the level."""
+    """Outcome of a descent on the gauge group from a representation B
+    towards the critical-value gap of its dimension vector (see
+    certify_semistable). level is the gap less the rounding margin; t and f
+    are where the descent stopped: t the sum of its steps, f = f(g . B).
+    witness_f is that f and witness_cond the largest condition number of a
+    block of g; both are None when the descent ended at or above the level."""
 
     gap: float
     level: float
@@ -369,9 +371,9 @@ class GapCertificate:
 
     @property
     def outcome(self) -> str:
-        """"certified"; "above gap", when the flow ended at or above the
-        level; or "no witness", when f(g . B) is not below the level or g is
-        too ill-conditioned to trust."""
+        """"certified"; "above gap", when the descent ended at or above the
+        level; or "no witness", when it fell below the level only at a g too
+        ill-conditioned to trust."""
         if self.witness_f is None:
             return "above gap"
         if self.witness_f < self.level and self.witness_cond <= _WITNESS_COND:
@@ -395,25 +397,39 @@ def certify_semistable(
     The stratum of an HN type is invariant under the complex gauge group G_C,
     and f decreases along the flow to the critical value of the type, so
     f >= that value on the whole stratum. Hence f(g . B) < gap for some g in
-    G_C proves B semistable. The gradient flow runs until f drops below the
-    level (the gap less a rounding margin), ||grad f|| < grad_tol or
-    max_time; if it dropped below, the gauge curve dg/dt g^{-1} = 2 H(A(t))
-    is co-integrated up to the same time, and its end point g is the
-    witness. The flow alone is no witness: roundoff ejects a trajectory that
-    starts on an unstable stratum, and it then drains below the gap, while
-    g . B stays in the orbit of B. Raises FlowError when a flow does."""
+    G_C proves B semistable. The witness g comes from geodesic descent on
+    G_C (Buergisser et al., FOCS 2019): each step g <- exp(2 eta H(g . B)) g
+    is the Euler step of dg/dt g^{-1} = 2 H, and g . B is recomputed from B,
+    so every iterate is its own witness. A step along which f does not fall
+    is halved, and an accepted one grows 1.5x. The descent stops below the
+    level (the gap less a rounding margin), at cond(g) > _WITNESS_COND, when
+    the step falls under the flow's least step (flow._MIN_STEP), or when the
+    steps sum to max_time; a step is capped as the flow caps its own."""
     gap = float(gap)
     level = gap * (1 - _GAP_MARGIN)
-    res = integrate_flow(q, B, a, cfg, stop_below=level)
-    cert = GapCertificate(gap, level, res.elapsed, res.final_f)
-    if res.final_f < level:
-        # a start already below the level takes no step, and g is the identity
-        g = [np.eye(d, dtype=complex) for d in B.dims]
-        if res.elapsed > 0:
-            _, g = integrate_gauge(q, B, a, replace(cfg, max_time=res.elapsed), stop_below=level)
-        gB = _conjugate(q, g, B.mats, [np.linalg.inv(b) for b in g])
-        cert.witness_f = f_value(q, B.with_mats(gB), a)
-        cert.witness_cond = max(float(np.linalg.cond(b)) for b in g if b.size)
+    g = g_inv = [np.eye(d, dtype=complex) for d in B.dims]
+    f, t, eta, cond = f_value(q, B, a), 0.0, _INITIAL_STEP, 1.0
+    eigs = [np.linalg.eigh(b) for b in shifted_moment(q, B, a)]
+    while f >= level and cond <= _WITNESS_COND and eta >= _MIN_STEP and t < cfg.max_time:
+        eta = min(eta, _MAX_STEP, cfg.max_time - t)
+        g_new, g_inv_new = [], []
+        # a step too long for exp overflows, and its f fails the test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (w, u), b, b_inv in zip(eigs, g, g_inv):
+                g_new.append((u * np.exp(2 * eta * w)) @ u.conj().T @ b)
+                g_inv_new.append(b_inv @ (u * np.exp(-2 * eta * w)) @ u.conj().T)
+            gB = B.with_mats(_conjugate(q, g_new, B.mats, g_inv_new))
+            f_new = f_value(q, gB, a)
+        if f_new < f:
+            g, g_inv, f, t = g_new, g_inv_new, f_new, t + eta
+            eigs = [np.linalg.eigh(b) for b in shifted_moment(q, gB, a)]
+            cond = max(float(np.linalg.cond(b)) for b in g if b.size)
+            eta *= 1.5
+        else:
+            eta *= 0.5
+    cert = GapCertificate(gap, level, t, f)
+    if f < level:
+        cert.witness_f, cert.witness_cond = f, cond
     return cert
 
 
@@ -432,8 +448,8 @@ def sample_semistable(
     returned and nothing flows; when the exact series says the semistable
     locus is empty, ConstructionError is raised at once (make_hn_example
     has checked its parts already and passes _known_nonempty). Otherwise
-    each draw flows only until f falls below the gap (certify_semistable),
-    and the first certified draw is returned."""
+    each draw descends on the gauge group until f falls below the gap
+    (certify_semistable), and the first certified draw is returned."""
     v = q.check_dims(v)
     gap = semistable_gap(q, v, a)
     if gap is None:
@@ -443,11 +459,7 @@ def sample_semistable(
     ended = Counter()
     for _ in range(max_attempts):
         B = Representation.random(q, v, rng)
-        try:
-            cert = certify_semistable(q, B, a, gap, cfg)
-        except FlowError:
-            ended["raised FlowError"] += 1
-            continue
+        cert = certify_semistable(q, B, a, gap, cfg)
         if cert.certified:
             return B
         ended[cert.outcome] += 1

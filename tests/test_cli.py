@@ -279,8 +279,18 @@ def test_exit_code_2_on_malformed_file(tmp_path, capsys):
         ("sigma", "--g0", {"blocks": blocks[:1]}),
         ("sigma", "--g0", {"blocks": blocks + blocks[:1]}),
     ]
+    # and each matrix must have its exact nested shape, of [re, im] pairs:
+    # edge 2 is 1x2 and edge 3 is 2x1, and the first gauge block is 2x2
+    as_column = [[x] for x in mats[2][0]]
+    cases += [
+        ("flow", "--init", {"matrices": mats[:2] + [as_column] + mats[3:]}),
+        ("flow", "--init", {"matrices": mats[:3] + [[[[1.0, 0.0, 0.5]], [[0.0, 1.0]]]]}),
+        ("flow", "--init", {"matrices": mats[:3] + [[[[True, 0.0]], [[0.0, 1.0]]]]}),
+        ("sigma", "--g0", {"blocks": [[[x for row in blocks[0] for x in row]], blocks[1]]}),
+        ("sigma", "--g0", {"blocks": [blocks[0], [[[1.0, 0.0, 0.5]]]]}),
+    ]
     for i, (command, flag, doc) in enumerate(cases):
-        path = tmp_path / f"miscounted{i}.json"
+        path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--quiver", "star21", flag, str(path)])
@@ -304,6 +314,23 @@ def test_exit_code_2_on_rank_zero_dims(tmp_path, capsys):
         assert exc.value.code == 2, command
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "input_error", command
+
+
+def test_exit_code_2_on_non_integer_dims(tmp_path, capsys):
+    # int() would read 1.7 and true as the dimension 1
+    for i, d in enumerate([1.7, True, "1", 1.0]):
+        path = tmp_path / f"dims{i}.json"
+        path.write_text(json.dumps({
+            "vertices": ["1", "2"],
+            "edges": [{"from": "1", "to": "2"}],
+            "dim": {"1": d, "2": 1},
+            "alpha": {"1": "1", "2": "-1"},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["strata", "--quiver", str(path)])
+        assert exc.value.code == 2, d
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "input_error", d
 
 
 def test_exit_code_1_on_off_level_init(tmp_path):

@@ -143,42 +143,6 @@ def test_flow_stats_fsal_invariant():
         assert 0 <= st.n_stiff_capped <= st.n_accepted
 
 
-def test_stop_below_halts_at_first_state_under_level():
-    q, v, a = star21()
-    A0 = Representation.random(q, v, np.random.default_rng(5))
-    cfg = FlowConfig(sample_stride=1)
-    full = integrate_flow(q, A0, a, cfg)
-    fs = [s.f for s in full.trajectory]
-    level = 0.5 * (fs[0] + full.final_f)
-    first = next(i for i, f in enumerate(fs) if f < level)
-    assert first > 1
-
-    res = integrate_flow(q, A0, a, cfg, stop_below=level)
-    # samples: the initial state, every accepted state, the final state again
-    assert res.n_steps == first and not res.converged
-    assert res.final_f == fs[first] < level
-    assert [s.f for s in res.trajectory[:-1]] == fs[: first + 1]
-    assert min(s.f for s in res.trajectory[:-2]) >= level
-    st = res.stats
-    rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
-    assert st.n_accepted == first
-    assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
-
-    # a start already below the level does not step
-    res = integrate_flow(q, A0, a, cfg, stop_below=2 * fs[0])
-    assert res.n_steps == 0 and res.stats.n_rhs == 1 and res.final_f == fs[0]
-
-
-def test_stop_below_default_leaves_flow_unchanged():
-    q, v, a = star21()
-    A0 = Representation.random(q, v, np.random.default_rng(11))
-    plain = integrate_flow(q, A0, a)
-    passed = integrate_flow(q, A0, a, stop_below=None)
-    assert plain.converged and plain.stats == passed.stats
-    assert plain.trajectory == passed.trajectory
-    assert all(np.array_equal(x, y) for x, y in zip(plain.final.mats, passed.final.mats))
-
-
 def test_dop853_stiff_cap():
     # R(z) = 1 + z b^T (I - z A)^{-1} 1 is the pair's stability function;
     # the cap keeps h rho at kappa, where the stiff mode still decays

@@ -59,8 +59,6 @@ def test_odd_powers_are_rejected():
     s = TruncatedSeries(6, [1])
     with pytest.raises(ValueError):
         s.shift(1)
-    with pytest.raises(ValueError):
-        s.geometric_factor(3)
     # an odd power past the truncation degree is dropped with the rest
     assert TruncatedSeries(4, [1, 0, 0, 0, 0, 5]).coeffs == (1, 0, 0, 0, 0)
 
@@ -73,15 +71,6 @@ def test_odd_max_degree():
     odd = poincare_semistable(q, v, a, 11).coeffs
     assert len(odd) == 12 and odd[-1] == 0
     assert odd == poincare_semistable(q, v, a, 12).coeffs[:12]
-
-
-def test_geometric_factor():
-    # 1/(1-t^2) truncated
-    s = TruncatedSeries.one(6).geometric_factor(2)
-    assert s.coeffs == (1, 0, 1, 0, 1, 0, 1)
-    # (1-t^2) * 1/(1-t^2) == 1
-    back = s - s.shift(2)
-    assert back.coeffs == (1, 0, 0, 0, 0, 0, 0)
 
 
 def _partition_count_oracle(n, parts):
