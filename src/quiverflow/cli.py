@@ -116,7 +116,7 @@ def load_quiver_file(path: str) -> tuple[Quiver, tuple[int, ...], StabilityParam
         if any(type(d) is not int for d in dims):
             raise ValueError(f"dimensions must be integers, got {list(dims)}")
         alpha = [Fraction(str(doc["alpha"][v])) for v in vertices]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed quiver file: {e}")
     a = StabilityParam.trace_free(q, dims, alpha)
     if rank(dims) == 0:

@@ -102,6 +102,8 @@ class GaugeElement:
         for b in blocks:
             if b.shape[0] != b.shape[1]:
                 raise QuiverError("gauge blocks must be square")
+            if not np.all(np.isfinite(b)):
+                raise QuiverError("gauge block entries must be finite")
             if b.size and np.linalg.cond(b) > _COND_BOUND:
                 raise QuiverError("gauge block is numerically singular")
             if unitary and b.size:
@@ -194,10 +196,10 @@ def f_of(two_h: np.ndarray) -> float:
     return 0.25 * float(np.vdot(two_h, two_h).real)
 
 
-def _evaluate(q: Quiver, A: Representation, shift_by: StabilityParam | None):
-    emb = BlockEmbedding(q, A.dims)
+def _evaluate(q: Quiver, dims: Sequence[int], mats, shift_by: StabilityParam | None):
+    emb = BlockEmbedding(q, dims)
     two_shift = 0.0 if shift_by is None else 2.0 * emb.shift(shift_by)
-    return emb, moment_kernel(emb.embed(A.mats), two_shift)
+    return emb, moment_kernel(emb.embed(mats), two_shift)
 
 
 def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
@@ -205,19 +207,19 @@ def moment(q: Quiver, A: Representation) -> tuple[np.ndarray, ...]:
 
         Phi_l = (i/2) ( sum_{in(a)=l} A_a A_a* - sum_{out(a)=l} A_a* A_a ).
     """
-    emb, (H2, _) = _evaluate(q, A, None)
+    emb, (H2, _) = _evaluate(q, A.dims, A.mats, None)
     return tuple(-1j * (0.5 * b) for b in emb.vertex_blocks(H2))
 
 
 def shifted_moment(q: Quiver, A: Representation, a: StabilityParam) -> tuple[np.ndarray, ...]:
     """Per-vertex Hermitian blocks H_l = i*Phi_l(A) - a_l*id."""
-    emb, (H2, _) = _evaluate(q, A, a)
+    emb, (H2, _) = _evaluate(q, A.dims, A.mats, a)
     return tuple(0.5 * b for b in emb.vertex_blocks(H2))
 
 
 def f_value(q: Quiver, A: Representation, a: StabilityParam) -> float:
     """f(A) = sum_l ||H_l||_F^2; zero exactly on the shifted level set."""
-    return f_of(_evaluate(q, A, a)[1][0])
+    return f_of(_evaluate(q, A.dims, A.mats, a)[1][0])
 
 
 def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.ndarray]:
@@ -226,12 +228,12 @@ def neg_gradient(q: Quiver, A: Representation, a: StabilityParam) -> list[np.nda
         (-grad f)_a = 2 (H_{in(a)} A_a - A_a H_{out(a)}),
 
     which vanishes exactly at critical points."""
-    emb, (_, K) = _evaluate(q, A, a)
+    emb, (_, K) = _evaluate(q, A.dims, A.mats, a)
     return emb.edge_blocks(K)
 
 
 def grad_norm(q: Quiver, A: Representation, a: StabilityParam) -> float:
-    return float(np.linalg.norm(_evaluate(q, A, a)[1][1]))
+    return float(np.linalg.norm(_evaluate(q, A.dims, A.mats, a)[1][1]))
 
 
 def _conjugate(

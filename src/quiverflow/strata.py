@@ -32,7 +32,7 @@ from .quiver import (
     shifted_param,
     _Lattice,
 )
-from .repspace import Representation, f_value, grad_norm, shifted_moment, _conjugate
+from .repspace import Representation, f_of, grad_norm, shifted_moment, _conjugate, _evaluate
 from .series import poincare_semistable
 
 
@@ -346,39 +346,39 @@ def _require_nonempty(q: Quiver, v: Sequence[int], a: StabilityParam) -> None:
 
 # The certificate's witness is a gauge element g with f(g . B) below the gap.
 # Computed g . B carries a relative rounding error of about n eps cond(g)^2,
-# and f, quartic in B, four times that: a witness is trusted up to
-# cond(g) = _WITNESS_COND, and f(g . B) is tested against the gap less the
-# relative margin _GAP_MARGIN, which covers that rounding.
+# cond(g) taken over all blocks of g at once, and f, quartic in B, four times
+# that: a witness is trusted up to cond(g) = _WITNESS_COND, and f(g . B) is
+# tested against the gap less the relative margin _GAP_MARGIN, which covers
+# that rounding. The descent's steps sum to at most _MAX_ETA_SUM, and the
+# sampler draws at most _MAX_ATTEMPTS times.
 _WITNESS_COND = 1e4
 _GAP_MARGIN = 1e-6
+_MAX_ETA_SUM = 1e4
+_MAX_ATTEMPTS = 30
 
 
 @dataclass
 class GapCertificate:
     """Outcome of a descent on the gauge group from a representation B
     towards the critical-value gap of its dimension vector (see
-    certify_semistable). level is the gap less the rounding margin; t and f
-    are where the descent stopped: t the sum of its steps, f = f(g . B).
-    witness_f is that f and witness_cond the largest condition number of a
-    block of g; both are None when the descent ended at or above the level."""
+    certify_semistable). level is the gap less the rounding margin; t, f and
+    cond are where the descent stopped: t the sum of its steps, f = f(g . B)
+    and cond the largest singular value of a block of g over the smallest."""
 
     gap: float
     level: float
     t: float
     f: float
-    witness_f: float | None = None
-    witness_cond: float | None = None
+    cond: float
 
     @property
     def outcome(self) -> str:
         """"certified"; "above gap", when the descent ended at or above the
         level; or "no witness", when it fell below the level only at a g too
         ill-conditioned to trust."""
-        if self.witness_f is None:
+        if self.f >= self.level:
             return "above gap"
-        if self.witness_f < self.level and self.witness_cond <= _WITNESS_COND:
-            return "certified"
-        return "no witness"
+        return "certified" if self.cond <= _WITNESS_COND else "no witness"
 
     @property
     def certified(self) -> bool:
@@ -386,11 +386,7 @@ class GapCertificate:
 
 
 def certify_semistable(
-    q: Quiver,
-    B: Representation,
-    a: StabilityParam,
-    gap: Fraction | float,
-    cfg: FlowConfig = FlowConfig(),
+    q: Quiver, B: Representation, a: StabilityParam, gap: Fraction | float
 ) -> GapCertificate:
     """Certify B semistable at the critical-value gap (see semistable_gap).
 
@@ -400,37 +396,40 @@ def certify_semistable(
     G_C proves B semistable. The witness g comes from geodesic descent on
     G_C (Buergisser et al., FOCS 2019): each step g <- exp(2 eta H(g . B)) g
     is the Euler step of dg/dt g^{-1} = 2 H, and g . B is recomputed from B,
-    so every iterate is its own witness. A step along which f does not fall
-    is halved, and an accepted one grows 1.5x. The descent stops below the
+    so every iterate is its own witness; a trial is one moment evaluation at
+    g . B. A step along which f does not fall (a non-finite f never does) is
+    halved, and an accepted one grows 1.5x. The descent stops below the
     level (the gap less a rounding margin), at cond(g) > _WITNESS_COND, when
     the step falls under the flow's least step (flow._MIN_STEP), or when the
-    steps sum to max_time; a step is capped as the flow caps its own."""
+    steps sum to _MAX_ETA_SUM; a step is capped as the flow caps its own."""
     gap = float(gap)
     level = gap * (1 - _GAP_MARGIN)
+
+    def moment_at(mats):  # f and the blocks H_l at edge matrices mats
+        emb, (two_h, _) = _evaluate(q, B.dims, mats, a)
+        return f_of(two_h), [0.5 * b for b in emb.vertex_blocks(two_h)]
+
     g = g_inv = [np.eye(d, dtype=complex) for d in B.dims]
-    f, t, eta, cond = f_value(q, B, a), 0.0, _INITIAL_STEP, 1.0
-    eigs = [np.linalg.eigh(b) for b in shifted_moment(q, B, a)]
-    while f >= level and cond <= _WITNESS_COND and eta >= _MIN_STEP and t < cfg.max_time:
-        eta = min(eta, _MAX_STEP, cfg.max_time - t)
+    (f, h), t, eta, cond = moment_at(B.mats), 0.0, _INITIAL_STEP, 1.0
+    eigs = [np.linalg.eigh(b) for b in h]
+    while f >= level and cond <= _WITNESS_COND and eta >= _MIN_STEP and t < _MAX_ETA_SUM:
+        eta = min(eta, _MAX_STEP, _MAX_ETA_SUM - t)
         g_new, g_inv_new = [], []
         # a step too long for exp overflows, and its f fails the test below
         with np.errstate(over="ignore", invalid="ignore"):
             for (w, u), b, b_inv in zip(eigs, g, g_inv):
                 g_new.append((u * np.exp(2 * eta * w)) @ u.conj().T @ b)
                 g_inv_new.append(b_inv @ (u * np.exp(-2 * eta * w)) @ u.conj().T)
-            gB = B.with_mats(_conjugate(q, g_new, B.mats, g_inv_new))
-            f_new = f_value(q, gB, a)
+            f_new, h = moment_at(_conjugate(q, g_new, B.mats, g_inv_new))
         if f_new < f:
             g, g_inv, f, t = g_new, g_inv_new, f_new, t + eta
-            eigs = [np.linalg.eigh(b) for b in shifted_moment(q, gB, a)]
-            cond = max(float(np.linalg.cond(b)) for b in g if b.size)
+            eigs = [np.linalg.eigh(b) for b in h]
+            sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in g])
+            cond = float(sv.max() / sv.min())
             eta *= 1.5
         else:
             eta *= 0.5
-    cert = GapCertificate(gap, level, t, f)
-    if f < level:
-        cert.witness_f, cert.witness_cond = f, cond
-    return cert
+    return GapCertificate(gap, level, t, f, cond)
 
 
 def sample_semistable(
@@ -438,8 +437,6 @@ def sample_semistable(
     v: Sequence[int],
     a: StabilityParam,
     rng: np.random.Generator,
-    cfg: FlowConfig = FlowConfig(),
-    max_attempts: int = 30,
     *,
     _known_nonempty: bool = False,
 ) -> Representation:
@@ -449,7 +446,8 @@ def sample_semistable(
     locus is empty, ConstructionError is raised at once (make_hn_example
     has checked its parts already and passes _known_nonempty). Otherwise
     each draw descends on the gauge group until f falls below the gap
-    (certify_semistable), and the first certified draw is returned."""
+    (certify_semistable), and the first certified of _MAX_ATTEMPTS draws is
+    returned."""
     v = q.check_dims(v)
     gap = semistable_gap(q, v, a)
     if gap is None:
@@ -457,15 +455,15 @@ def sample_semistable(
     if not _known_nonempty:
         _require_nonempty(q, v, a)
     ended = Counter()
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         B = Representation.random(q, v, rng)
-        cert = certify_semistable(q, B, a, gap, cfg)
+        cert = certify_semistable(q, B, a, gap)
         if cert.certified:
             return B
         ended[cert.outcome] += 1
     how = ", ".join(f"{n} {outcome}" for outcome, n in sorted(ended.items()))
     raise ConstructionError(
-        f"no draw of v={tuple(v)} certified semistable in {max_attempts} attempts "
+        f"no draw of v={tuple(v)} certified semistable in {_MAX_ATTEMPTS} attempts "
         f"at the critical-value gap {float(gap):.6g} ({how})"
     )
 
@@ -477,7 +475,6 @@ def make_hn_example(
     seed: int = 0,
     eta_scale: float = 0.5,
     require_stable: bool = False,
-    cfg: FlowConfig = FlowConfig(),
 ) -> tuple[Representation, Filtration]:
     """Ground-truth instance of a given HN type: block-upper-triangular with
     semistable diagonal blocks (slopes strictly decreasing down the diagonal)
@@ -499,7 +496,7 @@ def make_hn_example(
         _require_nonempty(q, part, a_s)
     rng = np.random.default_rng(seed)
     diag = [
-        sample_semistable(q, part, a_s, rng, cfg, _known_nonempty=True)
+        sample_semistable(q, part, a_s, rng, _known_nonempty=True)
         for part, a_s in zip(hn_type, shifted)
     ]
     scale = eta_scale * max(1.0, max(B.norm() for B in diag))

@@ -289,6 +289,19 @@ def test_exit_code_2_on_malformed_file(tmp_path, capsys):
         ("sigma", "--g0", {"blocks": [[[x for row in blocks[0] for x in row]], blocks[1]]}),
         ("sigma", "--g0", {"blocks": [blocks[0], [[[1.0, 0.0, 0.5]]]]}),
     ]
+    # a NaN gauge entry is rejected by name, not by a failed SVD, and a slope
+    # parameter with a zero denominator is bad input, not a crash (a second
+    # --quiver overrides the first)
+    nan_block = [[[float("nan"), 0.0]] + blocks[0][0][1:]] + blocks[0][1:]
+    cases += [
+        ("sigma", "--g0", {"blocks": [nan_block, blocks[1]]}),
+        ("poincare", "--quiver", {
+            "vertices": ["1", "2"],
+            "edges": [{"from": "1", "to": "2"}],
+            "dim": {"1": 1, "2": 1},
+            "alpha": {"1": "1/0", "2": "-1"},
+        }),
+    ]
     for i, (command, flag, doc) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
@@ -297,6 +310,7 @@ def test_exit_code_2_on_malformed_file(tmp_path, capsys):
         assert exc.value.code == 2, (command, i)
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "input_error", (command, i)
+        assert "SVD" not in err, (command, i)
 
 
 def test_exit_code_2_on_rank_zero_dims(tmp_path, capsys):

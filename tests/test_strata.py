@@ -446,7 +446,6 @@ def test_make_hn_example_not_slope_generic_part():
 
 def test_make_hn_example_triangle_coverage(monkeypatch):
     calls = count_flows(monkeypatch)
-    cfg = FlowConfig(max_time=100)
     built, empty = 0, 0
     for v in TRIANGLE_DIMS:
         a = StabilityParam(trace_free(v, (2, -1, -1)))
@@ -455,11 +454,11 @@ def test_make_hn_example_triangle_coverage(monkeypatch):
             if t not in nonempty:
                 before = len(calls)
                 with pytest.raises(ConstructionError, match="exact series"):
-                    make_hn_example(TRIANGLE, t, a, seed=0, cfg=cfg)
+                    make_hn_example(TRIANGLE, t, a, seed=0)
                 assert len(calls) == before
                 empty += 1
             else:
-                A, filt = make_hn_example(TRIANGLE, t, a, seed=0, cfg=cfg)
+                A, filt = make_hn_example(TRIANGLE, t, a, seed=0)
                 assert filt.hn_type == t and A.dims == v
                 built += 1
     assert (built, empty) == (38, 22)
@@ -508,17 +507,17 @@ def gap_cases():
 def test_gap_certificate_rejects_unstable_instances():
     # the flow from many of these drains below the gap once roundoff ejects
     # it from the stratum, by t = 15; the descent on the gauge group stays in
-    # the orbit, so it ends above the level
-    cfg = FlowConfig(max_time=30)
+    # the orbit, so it ends above the level, under the full bound on its
+    # steps: on the triangle types ((k,0,0),(0,*,*)) g diverges by different
+    # scalars at the 1-dimensional vertices, which cond(g) over all blocks
+    # sees before exp overflows
     outcomes = []
     for q, v, a, t, seed in gap_cases():
         A, _ = make_hn_example(q, t, a, seed=seed)
         gap = semistable_gap(q, v, a)
-        cert = certify_semistable(q, A, a, gap, cfg)
+        cert = certify_semistable(q, A, a, gap)
         assert not cert.certified, (v, t, seed, cert)
         assert cert.gap == float(gap) and cert.level < cert.gap
-        if cert.witness_f is not None:
-            assert cert.f < cert.level and cert.witness_f >= cert.level
         outcomes.append(cert.outcome)
     assert set(outcomes) == {"above gap"}
 
@@ -531,8 +530,7 @@ def test_gap_certificate_accepts_random_starts():
         gap = semistable_gap(q, v, a)
         for _ in range(5):
             cert = certify_semistable(q, Representation.random(q, v, rng), a, gap)
-            assert cert.certified and cert.t < 2.0
-            assert cert.witness_f == pytest.approx(cert.f, rel=1e-8)
+            assert cert.certified and cert.t < 2.0 and 1.0 <= cert.cond < 10.0
 
 
 def test_gap_certificate_at_a_start_below_the_gap():
@@ -543,7 +541,7 @@ def test_gap_certificate_at_a_start_below_the_gap():
     B = integrate_flow(q, Representation.random(q, v, np.random.default_rng(0)), a).final
     cert = certify_semistable(q, B, a, semistable_gap(q, v, a))
     assert cert.certified and cert.t == 0.0
-    assert cert.witness_cond == 1.0 and cert.witness_f == cert.f
+    assert cert.cond == 1.0
 
 
 def test_sample_semistable_trivial_part_single_draw(monkeypatch):
@@ -571,10 +569,22 @@ def test_sample_semistable_empty_locus_raises_without_flow(monkeypatch):
     assert calls == []
 
 
-def test_sample_semistable_out_of_attempts_reports_flows():
+def test_sample_semistable_out_of_attempts_reports_flows(monkeypatch):
     q, v, a = star21()
+    monkeypatch.setattr(strata, "_MAX_ETA_SUM", 1e-3)
+    monkeypatch.setattr(strata, "_MAX_ATTEMPTS", 2)
     with pytest.raises(ConstructionError) as err:
-        sample_semistable(q, v, a, np.random.default_rng(0), FlowConfig(max_time=1e-3),
-                          max_attempts=2)
+        sample_semistable(q, v, a, np.random.default_rng(0))
     msg = str(err.value)
     assert "in 2 attempts" in msg and "(2 above gap)" in msg and "empty" not in msg
+
+
+def test_gap_certificate_large_star_draw():
+    # scaling keeps a draw semistable; at 300 times a random draw, H has
+    # eigenvalues near 1e5, so the first trial steps overflow exp, and their
+    # f, not finite, halves the step instead of raising
+    q, v, a = star21()
+    for seed in range(3):
+        B = Representation.random(q, v, np.random.default_rng(seed))
+        B = B.with_mats([300 * m for m in B.mats])
+        assert certify_semistable(q, B, a, semistable_gap(q, v, a)).certified
