@@ -56,6 +56,7 @@ from .repspace import (
     f_value,
     finite_difference_check,
     grad_norm,
+    _noise,
 )
 from .series import SeriesInvariantError, nonempty_hn_types, poincare_semistable
 from .strata import ClassificationError, RankAmbiguityError, critical_of_flow
@@ -281,13 +282,7 @@ def cmd_sigma(args) -> int:
     if args.g0 == "identity":
         g0 = GaugeElement.identity(dims)
     elif args.g0 is None:
-        g0 = GaugeElement(
-            [
-                np.eye(d, dtype=complex)
-                + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-                for d in dims
-            ]
-        )
+        g0 = GaugeElement([np.eye(d, dtype=complex) + _noise(rng, (d, d), 0.3) for d in dims])
     else:
         try:
             with open(args.g0) as fh:
@@ -354,7 +349,7 @@ def cmd_checkgrad(args) -> int:
     worst = 0.0
     for name in names:
         q, dims, a = load_quiver_file(name)
-        err = finite_difference_check(q, dims, a, rng, n_points=args.trials, n_dirs=args.trials)
+        err = finite_difference_check(q, dims, a, rng, args.trials)
         report[name] = err
         worst = max(worst, err)
     doc = {"per_quiver": report, "max_relative_error": worst}

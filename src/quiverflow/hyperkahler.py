@@ -11,8 +11,8 @@ import numpy as np
 
 from .flow import FlowConfig, FlowResult, integrate_flow
 from .quiver import Quiver, QuiverError, StabilityParam
-from .repspace import Representation, rep_norm, _bracket
-from .strata import CriticalType, classify_critical, _block_matrices, _noise
+from .repspace import Representation, rep_norm, _bracket, _noise
+from .strata import CriticalType, _block_matrices
 
 
 class LevelError(RuntimeError):
@@ -102,35 +102,34 @@ def lt_perturbation(
     dr: DoubledRep,
     crit: CriticalType,
     rng: np.random.Generator,
-    scale: float = 1.0,
 ) -> list[np.ndarray]:
     """Random perturbation of the doubled representation supported on the
     strictly lower-triangular blocks of the critical filtration (maps from
-    higher-slope summands to lower-slope ones), drawn in the filtration's
-    coordinates and mapped back to the original ones."""
+    higher-slope summands to lower-slope ones), drawn as unit-scale complex
+    Gaussian blocks in the filtration's coordinates and mapped back to the
+    original ones."""
     qd = double(dr.base)
     lower = _block_matrices(
-        qd, crit.hn_type, lambda e, s, t, shape: _noise(rng, shape, scale) if s > t else None
+        qd, crit.hn_type, lambda e, s, t, shape: _noise(rng, shape, 1.0) if s > t else None
     )
     return crit.from_coordinates(qd, lower)
 
 
 def level_linearization_residual(
     dr: DoubledRep,
-    a: StabilityParam,
+    crit: CriticalType,
     delta: Sequence[np.ndarray],
 ) -> float:
-    """Norm of the quadratic remainder of Phi_C at a critical (A, B) with
-    filtration length <= 2:
+    """Norm of the quadratic remainder of Phi_C at a critical (A, B) whose
+    critical filtration crit (classify_critical of dr.rep on the doubled
+    quiver) has length <= 2:
 
         || Phi_C(A+dA, B+dB) - Phi_C(A,B) - dPhi_C(dA,dB) ||.
 
     Since Phi_C is quadratic, the remainder equals the bilinear form on the
     perturbation alone, which is what is evaluated (exact, no cancellation).
     It vanishes for strictly lower-triangular perturbations when the length
-    is 2."""
-    qd = double(dr.base)
-    crit = classify_critical(qd, dr.rep, a)
+    is 2. Raises FiltrationLengthError when crit is longer."""
     if len(crit.hn_type) > 2:
         raise FiltrationLengthError(
             f"critical filtration has length {len(crit.hn_type)} > 2"

@@ -26,6 +26,12 @@ _UNITARY_TOL = 1e-8
 _FD_STEP = 1e-5
 
 
+def _noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
+    """A complex Gaussian array of the given shape and scale: the real part
+    drawn first, then the imaginary part."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 @dataclass(frozen=True)
 class Representation:
     """One complex matrix per edge, of shape v_in(a) x v_out(a)."""
@@ -66,10 +72,9 @@ class Representation:
         cls, quiver: Quiver, dims: Sequence[int], rng: np.random.Generator
     ) -> "Representation":
         dims = quiver.check_dims(dims)
-        mats = []
-        for out_i, in_i in quiver.edge_indices():
-            shape = (dims[in_i], dims[out_i])
-            mats.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        mats = [
+            _noise(rng, (dims[in_i], dims[out_i]), 1.0) for out_i, in_i in quiver.edge_indices()
+        ]
         return cls(quiver, dims, mats)
 
     def norm(self) -> float:
@@ -275,17 +280,17 @@ def finite_difference_check(
     dims: Sequence[int],
     a: StabilityParam,
     rng: np.random.Generator,
-    n_points: int = 20,
-    n_dirs: int = 20,
+    trials: int,
 ) -> float:
     """Max relative error between the analytic gradient pairing and a central
-    finite difference of f over random points and directions."""
+    finite difference of f, over `trials` random points and `trials` random
+    unit directions at each; the error is relative to max(1, ||grad f||)."""
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(trials):
         A = Representation.random(q, dims, rng)
         g = neg_gradient(q, A, a)
         gn = rep_norm(g)
-        for _ in range(n_dirs):
+        for _ in range(trials):
             d = Representation.random(q, dims, rng).mats
             dn = rep_norm(d)
             d = [m / dn for m in d]

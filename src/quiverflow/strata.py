@@ -32,7 +32,7 @@ from .quiver import (
     shifted_param,
     _Lattice,
 )
-from .repspace import Representation, f_of, grad_norm, shifted_moment, _conjugate, _evaluate
+from .repspace import Representation, f_of, grad_norm, _conjugate, _evaluate, _noise
 from .series import poincare_semistable
 
 
@@ -59,9 +59,10 @@ _OFF_DIAGONAL_TOL = 1e-4
 # a filtration level is invariant when its block into the levels above has
 # norm below _INVARIANCE_TOL
 _INVARIANCE_TOL = 1e-8
-# relative singular-value cutoffs of the intertwiner system: hom_space's
-# nullspace and tangent_decomposition's kernel of rho^C; tangent_decomposition
-# also takes its input as critical on the scale of _TANGENT_GRAD_TOL
+# relative singular-value cutoffs of _rank, which raises within a decade of
+# them: hom_space's nullspace and tangent_decomposition's kernel of rho^C;
+# tangent_decomposition also takes its input as critical on the scale of
+# _TANGENT_GRAD_TOL
 _HOM_RANK_TOL = 1e-10
 _TANGENT_RANK_TOL = 1e-8
 _TANGENT_GRAD_TOL = 1e-8
@@ -100,11 +101,6 @@ def _block_matrices(q: Quiver, hn_type: HNType, block) -> list[np.ndarray]:
                 m[off[s, in_i] : off[s + 1, in_i], off[t, out_i] : off[t + 1, out_i]] = b
         mats.append(m)
     return mats
-
-
-def _noise(rng: np.random.Generator, shape: tuple[int, int], scale: float) -> np.ndarray:
-    """A complex Gaussian block of the given shape and scale."""
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @dataclass
@@ -176,9 +172,10 @@ def classify_critical(
     an edge matrix in the eigenbasis."""
     if rank(A.dims) == 0:
         raise ClassificationError("empty representation space")
-    if grad_norm(q, A, a) >= 10 * grad_tol:
+    emb, (two_h, neg_grad) = _evaluate(q, A.dims, A.mats, a)
+    if np.linalg.norm(neg_grad) >= 10 * grad_tol:
         raise ClassificationError("input is not numerically critical")
-    eigs, vecs = zip(*map(np.linalg.eigh, shifted_moment(q, A, a)))
+    eigs, vecs = zip(*(np.linalg.eigh(0.5 * b) for b in emb.vertex_blocks(two_h)))
     # -slope of every level, read off any sub-vector on it
     lat = _Lattice(q, A.dims, a)
     targets = np.empty(lat.n_levels)
@@ -266,20 +263,18 @@ def critical_of_flow(
 ) -> tuple[Representation, CriticalType]:
     """The critical point a finished flow identifies (see flow_to_critical).
 
-    The state classified, "dip" or "endpoint", is recorded in
-    res.critical_path; when the dip state is set aside for the endpoint, the
-    reason is recorded in res.fallback_reason."""
+    A dip state is classified at _SADDLE_TOL, refined, and the refined point
+    is classified and returned: refinement puts every part within 1e-6 of its
+    own -slope level, so it keeps the dip's type or raises. res.critical_path
+    records the state classified, "dip" or "endpoint"; when the dip path
+    raises, the endpoint is classified and res.fallback_reason records why."""
     if res.dip_state is not None:
         try:
             crit = classify_critical(q, res.dip_state, a, _SADDLE_TOL)
             A_ref = refine_critical(q, res.dip_state, a, crit, cfg)
-            crit2 = classify_critical(q, A_ref, a, cfg.grad_tol)
-            if crit2.hn_type == crit.hn_type:
-                res.critical_path = "dip"
-                return A_ref, crit2
-            res.fallback_reason = (
-                f"refined type {crit2.hn_type} differs from dip type {crit.hn_type}"
-            )
+            crit = classify_critical(q, A_ref, a, cfg.grad_tol)
+            res.critical_path = "dip"
+            return A_ref, crit
         except (ClassificationError, FlowError, QuiverError) as e:
             res.fallback_reason = f"{type(e).__name__}: {e}"
     if not res.converged:
@@ -582,28 +577,32 @@ def _intertwiner_matrix(
     return M, offs
 
 
+class RankAmbiguityError(RuntimeError):
+    pass
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from the singular values s, largest first: the count
+    above the cutoff tol * max(1, s[0]). Raises RankAmbiguityError when a
+    singular value lies within a decade of the cutoff."""
+    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
+    if np.any((s > cutoff / 10) & (s < cutoff * 10)):
+        raise RankAmbiguityError("singular value within a decade of the rank tolerance")
+    return int(np.sum(s > cutoff))
+
+
 def hom_space(q: Quiver, B: Representation, C: Representation) -> HomSpace:
     """Solve the homogeneous intertwining system by SVD nullspace. The system
     is _intertwiner_matrix(q, B, C): row-major vec per edge, and one variable
-    block per vertex in vertex order."""
+    block per vertex in vertex order. Its rank is _rank at _HOM_RANK_TOL, so
+    a singular value within a decade of the cutoff raises
+    RankAmbiguityError. With no equations every psi is an intertwiner."""
     M, offs = _intertwiner_matrix(q, B, C)
-    n_vars = M.shape[1]
-    if n_vars == 0:
-        return HomSpace(basis=[])
-    if M.shape[0]:
-        _, s, vh = np.linalg.svd(M)
-        cutoff = _HOM_RANK_TOL * max(1.0, s[0] if s.size else 0.0)
-        r = int(np.sum(s > cutoff))
-        null = vh[r:].conj()
-    else:
-        null = np.eye(n_vars, dtype=complex)
-    basis = []
-    for row in null:
-        psi = tuple(
-            row[offs[l] : offs[l + 1]].reshape(C.dims[l], B.dims[l])
-            for l in range(q.n_vertices)
-        )
-        basis.append(psi)
+    _, s, vh = np.linalg.svd(M)
+    basis = [
+        tuple(row[offs[l] : offs[l + 1]].reshape(C.dims[l], B.dims[l]) for l in range(q.n_vertices))
+        for row in vh[_rank(s, _HOM_RANK_TOL) :].conj()
+    ]
     return HomSpace(basis=basis)
 
 
@@ -626,7 +625,7 @@ def is_isomorphic(q: Quiver, B: Representation, C: Representation, seed: int = 0
         return IsoResult(False, None, 0, 0)
     rng = np.random.default_rng(seed)
     for k in range(_ISO_TRIALS):
-        coeffs = rng.standard_normal(hom.dimension) + 1j * rng.standard_normal(hom.dimension)
+        coeffs = _noise(rng, (hom.dimension,), 1.0)
         psi = tuple(
             sum(c * b[l] for c, b in zip(coeffs, hom.basis))
             for l in range(q.n_vertices)
@@ -671,10 +670,6 @@ def verify_graded_limit(
     )
 
 
-class RankAmbiguityError(RuntimeError):
-    pass
-
-
 def tangent_decomposition(
     q: Quiver,
     A: Representation,
@@ -683,7 +678,10 @@ def tangent_decomposition(
 ) -> int:
     """Complex dimension of ker(rho_A^C)* intersected with the
     lower-triangular block subspace, at a critical A with critical filtration
-    `filt`. Equals the combinatorial stratum codimension."""
+    `filt`. Equals the combinatorial stratum codimension. The kernel is cut
+    by _rank at _TANGENT_RANK_TOL, as hom_space cuts its nullspace; an
+    ambiguous rank or principal angle raises RankAmbiguityError, and a
+    non-critical A raises ClassificationError."""
     if grad_norm(q, A, a) >= 10 * _TANGENT_GRAD_TOL:
         raise ClassificationError("input is not numerically critical")
     # work in the filtration's orthonormal coordinates
@@ -691,10 +689,7 @@ def tangent_decomposition(
     # complex matrix of rho^C: one column per gauge basis element
     M, _ = _intertwiner_matrix(q, Af, Af)
     Ufull, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = _TANGENT_RANK_TOL * max(1.0, s[0] if s.size else 0.0)
-    if np.any((s > cutoff / 10) & (s < cutoff * 10)):
-        raise RankAmbiguityError("singular value within a decade of the rank tolerance")
-    N = Ufull[:, int(np.sum(s > cutoff)) :]
+    N = Ufull[:, _rank(s, _TANGENT_RANK_TOL) :]
 
     # lower-triangular coordinate mask: row block strictly below column block
     lab = _part_labels(filt.hn_type)

@@ -61,7 +61,7 @@ def test_criterion_01_gradient_correctness():
     worst = 0.0
     for make in BUILTIN_MAKERS:
         q, v, a = make()
-        worst = max(worst, finite_difference_check(q, v, a, rng, n_points=20, n_dirs=20))
+        worst = max(worst, finite_difference_check(q, v, a, rng, 20))
     dt = time.perf_counter() - t0
     report(1, f"max relative FD gradient error {worst:.3g} < 1e-6 in {dt:.2f}s < 5s",
            worst < 1e-6 and dt < 5.0)
@@ -307,12 +307,12 @@ def test_criterion_14_level_linearization():
     dr = DoubledRep(q, rep)
     crit = classify_critical(qd, rep, a)
     rng = np.random.default_rng(0)
-    delta = lt_perturbation(dr, crit, rng, scale=1.0)
+    delta = lt_perturbation(dr, crit, rng)
     dnorm2 = float(sum(np.sum(np.abs(d) ** 2) for d in delta))
-    resid_lt = level_linearization_residual(dr, a, delta)
+    resid_lt = level_linearization_residual(dr, crit, delta)
     generic = [rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
                for m in rep.mats]
-    resid_gen = level_linearization_residual(dr, a, generic)
+    resid_gen = level_linearization_residual(dr, crit, generic)
     report(14, f"LT residual {resid_lt:.3g} <= 1e-12*||delta||^2 = {1e-12*dnorm2:.3g}; "
                f"generic control {resid_gen:.3g} > 0",
            dnorm2 > 0 and resid_lt <= 1e-12 * dnorm2 and resid_gen > 1e-6)

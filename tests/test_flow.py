@@ -198,6 +198,32 @@ def test_norm_overflow_ends_in_step_underflow():
     assert exc.value.t < 400
 
 
+def test_monotone_gate_rejects_a_rising_f():
+    # dy/dt = -y with f = ||y||^2 / 2, except that the measure of the first
+    # trial step reports f raised by 1: the error test passes that trial, so
+    # only the monotone-f gate can reject it
+    measured = []
+
+    def stage(y, out):
+        out[:] = -y
+
+    def measure(k):
+        measured.append(k)
+        f = 0.5 * flow._norm(k) ** 2
+        return f + (1.0 if len(measured) == 2 else 0.0), flow._norm(k)
+
+    out = flow._integrate((stage, measure), np.array([1.0, 2.0]), FlowConfig(),
+                          lambda *args: None)
+    st = out.stats
+    assert out.converged and out.g < FlowConfig().grad_tol
+    assert st.n_rejected_monotone == 1
+    assert st.n_nonfinite == 0
+    rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
+    assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
+    # one measure up front, then one per trial step
+    assert len(measured) == 1 + st.n_accepted + rejected
+
+
 def test_dop853_tableau():
     A, (e5, e3) = flow._A, flow._E
     assert A.shape == (13, 12) and flow._E.shape == (2, 13)

@@ -132,27 +132,29 @@ def test_linearization_residual_lt_vanishes():
     crit = classify_critical(qd, rep, a)
     assert len(crit.hn_type) == 2
     rng = np.random.default_rng(5)
-    delta = lt_perturbation(dr, crit, rng, scale=1.0)
+    delta = lt_perturbation(dr, crit, rng)
     dnorm2 = sum(np.sum(np.abs(d) ** 2) for d in delta)
     assert dnorm2 > 0
-    resid = level_linearization_residual(dr, a, delta)
+    resid = level_linearization_residual(dr, crit, delta)
     assert resid <= 1e-12 * dnorm2
 
 
 def test_linearization_residual_generic_positive():
     q, qd, a, dr, rep = _doubled_critical()
+    crit = classify_critical(qd, rep, a)
     rng = np.random.default_rng(6)
     delta = [
         rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
         for m in rep.mats
     ]
-    assert level_linearization_residual(dr, a, delta) > 1e-2
+    assert level_linearization_residual(dr, crit, delta) > 1e-2
 
 
 def test_linearization_residual_zero_perturbation():
     q, qd, a, dr, rep = _doubled_critical()
+    crit = classify_critical(qd, rep, a)
     delta = [np.zeros_like(m) for m in rep.mats]
-    assert level_linearization_residual(dr, a, delta) == 0.0
+    assert level_linearization_residual(dr, crit, delta) == 0.0
 
 
 def test_linearization_rejects_long_filtrations():
@@ -163,10 +165,10 @@ def test_linearization_rejects_long_filtrations():
     a = StabilityParam.trace_free(q, v, [2, 0, -2])
     qd = double(q)
     rep = Representation.zero(qd, v)
-    dr = DoubledRep(q, rep)
+    crit = classify_critical(qd, rep, a)
     delta = [np.zeros_like(m) for m in rep.mats]
     with pytest.raises(FiltrationLengthError):
-        level_linearization_residual(dr, a, delta)
+        level_linearization_residual(DoubledRep(q, rep), crit, delta)
 
 
 def test_lt_perturbation_length_three():

@@ -72,7 +72,7 @@ def test_finite_difference_gradient():
     rng = np.random.default_rng(42)
     for make in (a2, jordan2, star21):
         q, v, a = make()
-        err = finite_difference_check(q, v, a, rng, n_points=5, n_dirs=5)
+        err = finite_difference_check(q, v, a, rng, 5)
         assert err < 1e-6
 
 

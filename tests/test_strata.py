@@ -16,6 +16,7 @@ from quiverflow import (
     FlowConfig,
     Quiver,
     QuiverError,
+    RankAmbiguityError,
     Representation,
     SlopeMismatchError,
     StabilityParam,
@@ -48,7 +49,7 @@ from quiverflow import (
     verify_graded_limit,
 )
 from quiverflow import strata
-from conftest import TRIANGLE, random_unitary_gauge, trace_free
+from conftest import TRIANGLE, kronecker, random_unitary_gauge, trace_free
 
 
 def test_classify_a2_zero():
@@ -274,6 +275,41 @@ def test_hom_space_a2():
     assert not is_isomorphic(q, B, C).isomorphic
 
 
+def test_hom_space_no_edges_is_the_gauge_algebra():
+    # with no equations every per-vertex matrix is an intertwiner
+    q = Quiver(("1", "2"), ())
+    A = Representation.zero(q, (2, 3))
+    h = hom_space(q, A, A)
+    assert h.dimension == 2 ** 2 + 3 ** 2
+    assert all(psi[0].shape == (2, 2) and psi[1].shape == (3, 3) for psi in h.basis)
+
+
+def test_hom_space_rank_ambiguity():
+    # K2 at (1,1), B = (1, 0), C = (1, eps): the system has singular values
+    # about sqrt(2) and eps / sqrt(2), and the rank cutoff is about
+    # 1e-10 * sqrt(2), so eps = 1e-10 puts the small one inside the decade
+    # band around it
+    q = kronecker(2)
+    B = Representation(q, (1, 1), [np.ones((1, 1)), np.zeros((1, 1))])
+
+    def C(eps):
+        return Representation(q, (1, 1), [np.ones((1, 1)), np.full((1, 1), eps)])
+
+    assert hom_space(q, B, C(0.0)).dimension == 1
+    assert hom_space(q, B, C(1e-3)).dimension == 0
+    with pytest.raises(RankAmbiguityError):
+        hom_space(q, B, C(1e-10))
+
+
+def test_is_isomorphic_rejects_unequal_dims():
+    q, _, _ = star21()
+    rng = np.random.default_rng(0)
+    B = Representation.random(q, (2, 1), rng)
+    C = Representation.random(q, (1, 1), rng)
+    with pytest.raises(QuiverError, match="equal dimension vectors"):
+        is_isomorphic(q, B, C)
+
+
 def test_hom_space_identity_and_endomorphisms():
     q, v, a = star21()
     A = Representation.random(q, v, np.random.default_rng(6))
@@ -367,6 +403,13 @@ def test_tangent_decomposition_matches_codimension():
         for t in enumerate_hn_types(qs, v, av, include_trivial=False):
             Ac, filtc = make_critical_point(qs, t, av, seed=0)
             assert tangent_decomposition(qs, Ac, av, filtc) == codimension(qs, t)
+
+
+def test_tangent_decomposition_rejects_noncritical():
+    q, v, a = star21()
+    A = Representation.random(q, v, np.random.default_rng(0))
+    with pytest.raises(ClassificationError, match="not numerically critical"):
+        tangent_decomposition(q, A, a, Filtration.coordinate(v, ((1, 1), (1, 0))))
 
 
 def test_flow_to_critical_reports_flyby():
