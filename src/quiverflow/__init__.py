@@ -42,7 +42,6 @@ from .flow import (
     SigmaTrace,
     StepUnderflowError,
     integrate_flow,
-    integrate_gauge,
     paired_flow_sigma,
     sigma,
     sigma_from_gauge,

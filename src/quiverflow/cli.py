@@ -20,9 +20,9 @@ request, so the other outputs stay byte-deterministic.
 
 All randomness flows from a single --seed through numpy.random.default_rng.
 Exit codes: 0 ok, 1 runtime failure (non-convergence, ambiguity, a failed
-internal invariant), 2 input validation. Errors are emitted as one JSON object
-on stderr. File writes are atomic (write to a temp file in the target
-directory, then rename).
+internal invariant), 2 input validation or an output path that cannot be
+written. Errors are emitted as one JSON object on stderr. File writes are
+atomic (write to a temp file in the target directory, then rename).
 """
 
 from __future__ import annotations
@@ -93,8 +93,11 @@ def _atomic_write(path: str, text: str) -> None:
 def _emit(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         _atomic_write(path, text)
+    except OSError as e:
+        raise InputError(f"cannot write output file: {path}: {e.strerror or e}")
 
 
 def load_quiver_file(path: str) -> tuple[Quiver, tuple[int, ...], StabilityParam]:
@@ -109,6 +112,8 @@ def load_quiver_file(path: str) -> tuple[Quiver, tuple[int, ...], StabilityParam
     except json.JSONDecodeError as e:
         raise InputError(f"quiver file is not valid JSON: {e}")
     try:
+        if type(doc["vertices"]) is not list:
+            raise ValueError("vertices must be a JSON array")
         vertices = tuple(str(v) for v in doc["vertices"])
         edges = tuple((str(e["from"]), str(e["to"])) for e in doc["edges"])
         q = Quiver(vertices, edges)

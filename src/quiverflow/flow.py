@@ -2,9 +2,10 @@
 the paired group flow on the complexified gauge group, and the sigma
 monotonicity monitor.
 
-All three flows run on one explicit embedded Dormand-Prince 8(5,3) driver
-(DOP853) with an extra acceptance gate enforcing monotone decrease of f,
-which guarantees the Lyapunov property the convergence theory relies on.
+Both flows, the gradient flow and the paired group flow, run on one
+explicit embedded Dormand-Prince 8(5,3) driver (DOP853) with an extra
+acceptance gate enforcing monotone decrease of f, which guarantees the
+Lyapunov property the convergence theory relies on.
 Each flow is a "system": a stage function that writes the time derivative
 of one flat state vector in place, and a measure that returns f and
 ||grad f|| at the state of the latest stage. The representation part of the
@@ -25,9 +26,9 @@ stability of the pair rather than by its accuracy. Stages 11 and 12 both sit
 at the new time, so their difference estimates the stiffest rate the step
 damps, and the next step is capped at the edge of the real stability
 interval; as in dop853.f, a step never grows right after a rejection.
-The group flow is co-integrated with the same pair and the same factor-2
-time scale as the gradient flow, so that g(t) . A(0) tracks the flow
-trajectory.
+Each member of the paired flow co-integrates its gauge curve g(t) with the
+same pair and the same factor-2 time scale as the gradient flow, so that
+g(t) . A(0) tracks the flow trajectory.
 """
 
 from __future__ import annotations
@@ -380,22 +381,6 @@ def _group_state(emb: BlockEmbedding, A0: Representation) -> np.ndarray:
     return np.concatenate([emb.embed(A0.mats).ravel(), np.eye(emb.shape[0]).ravel()])
 
 
-def _result(lo: _DriverOut, to_rep, samples: list[FlowSample]) -> FlowResult:
-    res = FlowResult(
-        final=to_rep(lo.y),
-        final_f=lo.f,
-        final_grad_norm=lo.g,
-        elapsed=lo.t,
-        trajectory=samples,
-        converged=lo.converged,
-        n_steps=lo.stats.n_accepted,
-        stats=lo.stats,
-    )
-    if lo.dip is not None:
-        res.dip_state = to_rep(lo.dip[1])
-    return res
-
-
 def integrate_flow(
     q: Quiver,
     A0: Representation,
@@ -420,41 +405,17 @@ def integrate_flow(
         samples.append(s)
 
     lo = _integrate(_gradient_system(emb, a), emb.embed(A0.mats).ravel(), cfg, on_sample)
-    return _result(lo, to_rep, samples)
-
-
-def integrate_gauge(
-    q: Quiver,
-    A0: Representation,
-    a: StabilityParam,
-    *,
-    on_sample: Callable[[float, Representation, list[np.ndarray]], None] | None = None,
-) -> tuple[FlowResult, list[np.ndarray]]:
-    """Co-integrate the gradient flow A(t) and the gauge curve g(t) solving
-    dg/dt g^{-1} = 2 H(A(t)), g(0) = id, under the default FlowConfig.
-    Returns the flow result and the per-vertex blocks of the final g,
-    unchecked: on an unstable start g diverges, and its blocks may be
-    numerically singular. on_sample(t, A, g_blocks), if given, sees every
-    sample; it is how a caller reads the gauge curve."""
-    emb = BlockEmbedding(q, A0.dims)
-    n_rep = math.prod(emb.shape)
-    n = emb.shape[0]
-
-    def to_rep(y):
-        return A0.with_mats(emb.edge_blocks(y[:n_rep]))
-
-    def gauge_blocks(y):
-        return emb.vertex_blocks(y[n_rep:].reshape(n, n))
-
-    samples: list[FlowSample] = []
-
-    def sample(t, y, fs, g):
-        samples.append(FlowSample(t=t, f=fs, grad_norm=g))
-        if on_sample is not None:
-            on_sample(t, to_rep(y), gauge_blocks(y))
-
-    lo = _integrate(_group_system(emb, a, 1), _group_state(emb, A0), FlowConfig(), sample)
-    return _result(lo, to_rep, samples), gauge_blocks(lo.y)
+    return FlowResult(
+        final=to_rep(lo.y),
+        final_f=lo.f,
+        final_grad_norm=lo.g,
+        elapsed=lo.t,
+        trajectory=samples,
+        converged=lo.converged,
+        n_steps=lo.stats.n_accepted,
+        dip_state=None if lo.dip is None else to_rep(lo.dip[1]),
+        stats=lo.stats,
+    )
 
 
 def sigma(h_blocks: Sequence[np.ndarray], total_rank: int) -> float:

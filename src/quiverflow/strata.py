@@ -380,34 +380,29 @@ class GapCertificate:
         return self.outcome == "certified"
 
 
-def certify_semistable(
-    q: Quiver, B: Representation, a: StabilityParam, gap: Fraction | float
-) -> GapCertificate:
-    """Certify B semistable at the critical-value gap (see semistable_gap).
+def _descend(q: Quiver, B: Representation, a: StabilityParam):
+    """Geodesic descent of f on the complex gauge group G_C from B (Buergisser
+    et al., FOCS 2019). Each step g <- exp(2 eta H(g . B)) g is the Euler step
+    of dg/dt g^{-1} = 2 H, and g . B is recomputed from B, so every iterate g
+    is its own witness; a trial is one moment evaluation at g . B. A step
+    along which f does not fall (a non-finite f never does) is halved, and an
+    accepted one grows 1.5x; a step is capped as the flow caps its own.
 
-    The stratum of an HN type is invariant under the complex gauge group G_C,
-    and f decreases along the flow to the critical value of the type, so
-    f >= that value on the whole stratum. Hence f(g . B) < gap for some g in
-    G_C proves B semistable. The witness g comes from geodesic descent on
-    G_C (Buergisser et al., FOCS 2019): each step g <- exp(2 eta H(g . B)) g
-    is the Euler step of dg/dt g^{-1} = 2 H, and g . B is recomputed from B,
-    so every iterate is its own witness; a trial is one moment evaluation at
-    g . B. A step along which f does not fall (a non-finite f never does) is
-    halved, and an accepted one grows 1.5x. The descent stops below the
-    level (the gap less a rounding margin), at cond(g) > _WITNESS_COND, when
-    the step falls under the flow's least step (flow._MIN_STEP), or when the
-    steps sum to _MAX_ETA_SUM; a step is capped as the flow caps its own."""
-    gap = float(gap)
-    level = gap * (1 - _GAP_MARGIN)
+    Yields (t, f, cond, g) at B and at every accepted iterate: t the sum of
+    the steps, f = f(g . B), cond the largest singular value of a block of g
+    over the smallest, and g the per-vertex blocks. It ends by itself when the
+    step falls under the flow's least step (flow._MIN_STEP) or the steps sum
+    to _MAX_ETA_SUM; every other stop is the caller's."""
 
     def moment_at(mats):  # f and the blocks H_l at edge matrices mats
         emb, (two_h, _) = _evaluate(q, B.dims, mats, a)
         return f_of(two_h), [0.5 * b for b in emb.vertex_blocks(two_h)]
 
     g = g_inv = [np.eye(d, dtype=complex) for d in B.dims]
-    (f, h), t, eta, cond = moment_at(B.mats), 0.0, _INITIAL_STEP, 1.0
+    (f, h), t, eta = moment_at(B.mats), 0.0, _INITIAL_STEP
+    yield t, f, 1.0, g
     eigs = [np.linalg.eigh(b) for b in h]
-    while f >= level and cond <= _WITNESS_COND and eta >= _MIN_STEP and t < _MAX_ETA_SUM:
+    while eta >= _MIN_STEP and t < _MAX_ETA_SUM:
         eta = min(eta, _MAX_STEP, _MAX_ETA_SUM - t)
         g_new, g_inv_new = [], []
         # a step too long for exp overflows, and its f fails the test below
@@ -420,10 +415,29 @@ def certify_semistable(
             g, g_inv, f, t = g_new, g_inv_new, f_new, t + eta
             eigs = [np.linalg.eigh(b) for b in h]
             sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in g])
-            cond = float(sv.max() / sv.min())
             eta *= 1.5
+            yield t, f, float(sv.max() / sv.min()), g
         else:
             eta *= 0.5
+
+
+def certify_semistable(
+    q: Quiver, B: Representation, a: StabilityParam, gap: Fraction | float
+) -> GapCertificate:
+    """Certify B semistable at the critical-value gap (see semistable_gap).
+
+    The stratum of an HN type is invariant under the complex gauge group G_C,
+    and f decreases along the flow to the critical value of the type, so
+    f >= that value on the whole stratum. Hence f(g . B) < gap for some g in
+    G_C proves B semistable. The witnesses are the iterates of the descent on
+    G_C (_descend). The stop rule is this function's: it takes the first
+    iterate below the level (the gap less a rounding margin) or past
+    cond(g) = _WITNESS_COND, and else the last one, where the descent ended."""
+    gap = float(gap)
+    level = gap * (1 - _GAP_MARGIN)
+    for t, f, cond, _ in _descend(q, B, a):
+        if f < level or cond > _WITNESS_COND:
+            break
     return GapCertificate(gap, level, t, f, cond)
 
 
@@ -437,10 +451,10 @@ def sample_semistable(
 ) -> Representation:
     """Rejection-sample a semistable representation of v, certified at the
     critical-value gap. When v has no non-trivial HN type the first draw is
-    returned and nothing flows; when the exact series says the semistable
-    locus is empty, ConstructionError is raised at once (make_hn_example
-    has checked its parts already and passes _known_nonempty). Otherwise
-    each draw descends on the gauge group until f falls below the gap
+    returned, with no descent and no flow; when the exact series says the
+    semistable locus is empty, ConstructionError is raised at once
+    (make_hn_example has checked its parts already and passes
+    _known_nonempty). Otherwise each draw descends on the gauge group until f falls below the gap
     (certify_semistable), and the first certified of _MAX_ATTEMPTS draws is
     returned."""
     v = q.check_dims(v)

@@ -302,6 +302,15 @@ def test_exit_code_2_on_malformed_file(tmp_path, capsys):
             "alpha": {"1": "1/0", "2": "-1"},
         }),
     ]
+    # vertices must be a JSON array: a string or an object would be read as
+    # its characters or its keys
+    for vertices in ("ab", {"a": 0, "b": 0}):
+        cases += [(command, "--quiver", {
+            "vertices": vertices,
+            "edges": [{"from": "a", "to": "b"}],
+            "dim": {"a": 1, "b": 1},
+            "alpha": {"a": "1", "b": "-1"},
+        }) for command in ("poincare", "strata")]
     for i, (command, flag, doc) in enumerate(cases):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
@@ -311,6 +320,20 @@ def test_exit_code_2_on_malformed_file(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "input_error", (command, i)
         assert "SVD" not in err, (command, i)
+
+
+def test_exit_code_2_on_unwritable_output(tmp_path, capsys):
+    # an output path in a missing directory is bad input, not a traceback
+    missing = tmp_path / "missing" / "out.json"
+    for argv in (["strata", "--quiver", "a2", "--out", str(missing)],
+                 ["flow", "--quiver", "a2", "--stats", str(missing)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input_error", argv
+        assert err["detail"].startswith("cannot write output file"), argv
+    assert not missing.parent.exists()
 
 
 def test_exit_code_2_on_rank_zero_dims(tmp_path, capsys):

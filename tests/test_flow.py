@@ -1,6 +1,8 @@
 """Gradient flow integration: closed-form limits, monotonicity, group-flow
 tracking, and the sigma monotonicity monitor."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from quiverflow import (
     enumerate_hn_types,
     f_value,
     integrate_flow,
-    integrate_gauge,
     jordan2,
     make_hn_example,
     paired_flow_sigma,
@@ -93,16 +94,32 @@ def _drift(g_blocks, A0, A):
     return np.sqrt(sum(np.sum(np.abs(m1 - m2) ** 2) for m1, m2 in zip(tracked.mats, A.mats)))
 
 
+def _group_flow(q, A0, a):
+    """One member of the group flow, dg/dt g^{-1} = 2 H(A(t)) from g(0) = id,
+    on the shared driver under the default FlowConfig: the driver's output,
+    (A, g blocks) at its final state, and (A, g blocks) at every sample."""
+    emb = BlockEmbedding(q, A0.dims)
+    n_rep, n = math.prod(emb.shape), emb.shape[0]
+
+    def split(y):
+        return (A0.with_mats(emb.edge_blocks(y[:n_rep])),
+                emb.vertex_blocks(y[n_rep:].reshape(n, n)))
+
+    samples = []
+    out = flow._integrate(flow._group_system(emb, a, 1), flow._group_state(emb, A0),
+                          FlowConfig(), lambda t, y, f, g: samples.append(split(y)))
+    return out, split(out.y), samples
+
+
 def test_group_flow_tracks_orbit():
     q, v, a = a2()
     A0 = Representation(q, v, [np.array([[0.1]], dtype=complex)])
-    drifts = []
-    res, g_final = integrate_gauge(
-        q, A0, a, on_sample=lambda t, A, g: drifts.append(_drift(g, A0, A))
-    )
-    assert res.converged
-    assert len(drifts) == len(res.trajectory) and max(drifts) < 1e-5
-    assert _drift(g_final, A0, res.final) < 1e-6
+    out, (A, g_final), samples = _group_flow(q, A0, a)
+    assert out.converged
+    # the start, every sample_stride-th accepted step and the end
+    assert len(samples) == 2 + out.stats.n_accepted // FlowConfig().sample_stride
+    assert max(_drift(g, A0, A_s) for A_s, g in samples) < 1e-5
+    assert _drift(g_final, A0, A) < 1e-6
 
 
 def test_gauge_flow_on_unstable_start():
@@ -112,14 +129,11 @@ def test_gauge_flow_on_unstable_start():
     q, _, a = star21()
     for seed in range(3):
         A0, _ = make_hn_example(q, ((1, 1), (1, 0)), a, seed=seed)
-        checked = []
-
-        def on_sample(t, A, g):
-            if max(np.linalg.cond(b) for b in g) <= 1e4:
-                checked.append(_drift(g, A0, A))
-
-        res, g_final = integrate_gauge(q, A0, a, on_sample=on_sample)
-        assert res.converged, seed
+        out, (_, g_final), samples = _group_flow(q, A0, a)
+        checked = [
+            _drift(g, A0, A) for A, g in samples if max(np.linalg.cond(b) for b in g) <= 1e4
+        ]
+        assert out.converged, seed
         assert checked and max(checked) < 1e-6, seed
         assert max(np.linalg.cond(b) for b in g_final) > 1e10, seed
 
@@ -131,10 +145,9 @@ def test_flow_stats_fsal_invariant():
     rng = np.random.default_rng(3)
     A0 = Representation.random(q, v, rng)
     plain = integrate_flow(q, A0, a)
-    group, _ = integrate_gauge(q, A0, a)
+    group, _, _ = _group_flow(q, A0, a)
     paired = paired_flow_sigma(q, A0, random_unitary_gauge(v, rng), a)
-    for res in (plain, group):
-        assert res.stats.n_accepted == res.n_steps
+    assert plain.stats.n_accepted == plain.n_steps
     for st in (plain.stats, group.stats, paired.stats):
         rejected = st.n_rejected_err + st.n_rejected_monotone + st.n_nonfinite
         assert st.n_rhs == 1 + 12 * (st.n_accepted + rejected)
@@ -263,7 +276,7 @@ def test_group_flow_zero_generator():
     # f = 0 start: generator vanishes, g stays the identity
     q, v, a = a2()
     A0 = Representation(q, v, [np.array([[np.sqrt(2)]], dtype=complex)])
-    _, g_final = integrate_gauge(q, A0, a)
+    _, (_, g_final), _ = _group_flow(q, A0, a)
     for b, d in zip(g_final, v):
         assert np.allclose(b, np.eye(d), atol=1e-10)
 

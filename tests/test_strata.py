@@ -14,6 +14,7 @@ from quiverflow import (
     ConstructionError,
     Filtration,
     FlowConfig,
+    GaugeElement,
     Quiver,
     QuiverError,
     RankAmbiguityError,
@@ -26,6 +27,7 @@ from quiverflow import (
     classify_critical,
     codimension,
     enumerate_hn_types,
+    f_value,
     flow_to_critical,
     graded_object,
     grad_norm,
@@ -545,6 +547,33 @@ def gap_cases():
     for seed in (1, 2):
         v = (2, 2, 2)
         yield TRIANGLE, v, StabilityParam(trace_free(v, (2, -1, -1))), ((1, 0, 1), (1, 1, 1), (0, 1, 0)), seed
+
+
+def test_descent_iterates_are_witnesses():
+    # the descent starts at g = id, and f falls strictly along it; each
+    # yielded g is its own witness while it is well conditioned. Random star
+    # draws are semistable and descend towards f = 0; the triangle instance
+    # is unstable, so f stops falling above the gap. Both descents end by
+    # themselves at the step floor, well inside the bound on the step sum
+    q, v, a = star21()
+    rng = np.random.default_rng(0)
+    starts = [(q, a, Representation.random(q, v, rng)) for _ in range(5)]
+    v3 = (2, 2, 2)
+    a3 = StabilityParam(trace_free(v3, (2, -1, -1)))
+    starts.append((TRIANGLE, a3, make_hn_example(TRIANGLE, ((2, 2, 0), (0, 0, 2)), a3)[0]))
+    for q, a, B in starts:
+        iterates = list(strata._descend(q, B, a))
+        t0, f0, cond0, g0 = iterates[0]
+        assert (t0, cond0) == (0.0, 1.0) and f0 == f_value(q, B, a)
+        assert all(np.array_equal(b, np.eye(d)) for b, d in zip(g0, B.dims))
+        for (t1, f1, _, _), (t2, f2, _, _) in zip(iterates, iterates[1:]):
+            assert t2 > t1 and f2 < f1
+        for _, f, cond, g in iterates:
+            if cond <= 1e4:
+                witness = f_value(q, act(GaugeElement(g), B), a)
+                assert abs(witness - f) <= 1e-12 * max(1.0, f)
+        assert iterates[-1][0] < strata._MAX_ETA_SUM
+    assert iterates[-1][1] > semistable_gap(TRIANGLE, v3, a3)
 
 
 def test_gap_certificate_rejects_unstable_instances():
